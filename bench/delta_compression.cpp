@@ -1,8 +1,9 @@
-// Block-delta differential compression bench (DESIGN.md §15): what the
-// copy-add wire layer buys on the three container-moving paths.
+// Differential compression bench (DESIGN.md §15): what the delta wire
+// forms buy on the three container-moving paths.
 //
 //   save_wire  — end to end through the mediator: a 1-char edit saved as
-//                docContents, with block_delta_saves on vs off, across
+//                docContents, with delta_full_saves on (the save rides the
+//                anchored cdelta) vs off, across
 //                document sizes up to 256 KB. Reports bytes-on-wire per
 //                save, the full/delta ratio, and ms per save. FAILs unless
 //                the >=100 KB documents drop bytes-on-wire by >=10x and
@@ -69,14 +70,15 @@ std::string make_body(std::size_t chars, std::uint64_t seed) {
   return body;
 }
 
-extension::MediatorConfig mediator_config(bool bdelta, std::uint64_t seed) {
+extension::MediatorConfig mediator_config(bool delta_saves,
+                                          std::uint64_t seed) {
   extension::MediatorConfig mc;
   mc.password = kPassword;
   mc.scheme.mode = enc::Mode::kRpc;
   mc.scheme.block_chars = 8;
   mc.scheme.kdf_iterations = 10;
   mc.rng_factory = extension::seeded_rng_factory(seed);
-  mc.block_delta_saves = bdelta;
+  mc.delta_full_saves = delta_saves;
   return mc;
 }
 
@@ -97,15 +99,15 @@ struct SaveRow {
 };
 
 /// Drives `saves` 1-char-edit docContents saves through a fresh mediator
-/// (bdelta on or off) and returns bytes/time per save.
+/// (delta_full_saves on or off) and returns bytes/time per save.
 SaveRow run_save_cell(std::size_t doc_chars, std::size_t saves) {
   SaveRow row;
   row.doc_chars = doc_chars;
-  for (const bool bdelta : {false, true}) {
+  for (const bool delta_saves : {false, true}) {
     cloud::GDocsServer server;
     DirectChannel channel(&server);
     extension::GDocsMediator mediator(
-        &channel, mediator_config(bdelta, 7'000 + doc_chars));
+        &channel, mediator_config(delta_saves, 7'000 + doc_chars));
 
     std::string text = make_body(doc_chars, 9'000 + doc_chars);
     FormData create;
@@ -131,7 +133,7 @@ SaveRow run_save_cell(std::size_t doc_chars, std::size_t saves) {
 
     const auto& before = mediator.counters();
     const std::size_t full0 = before.full_save_bytes;
-    const std::size_t delta0 = before.bdelta_bytes;
+    const std::size_t delta0 = before.delta_full_save_bytes;
     Xoshiro256 rng(31 + doc_chars);
     const double seconds = bench::time_seconds([&] {
       for (std::size_t i = 0; i < saves; ++i) {
@@ -142,16 +144,18 @@ SaveRow run_save_cell(std::size_t doc_chars, std::size_t saves) {
     });
 
     const auto& after = mediator.counters();
-    if (bdelta) {
+    if (delta_saves) {
       row.delta_bytes_per_save =
-          static_cast<double>(after.bdelta_bytes - delta0) /
+          static_cast<double>(after.delta_full_save_bytes - delta0) /
           static_cast<double>(saves);
       row.delta_ms_per_save = seconds * 1e3 / static_cast<double>(saves);
-      if (after.bdelta_saves != saves || after.bdelta_fallbacks != 0) {
+      if (after.delta_full_saves != saves ||
+          after.delta_full_save_fallbacks != 0) {
         std::fprintf(stderr,
                      "FAIL: %zu of %zu saves travelled as deltas "
                      "(%zu fallbacks)\n",
-                     after.bdelta_saves, saves, after.bdelta_fallbacks);
+                     after.delta_full_saves, saves,
+                     after.delta_full_save_fallbacks);
         std::exit(1);
       }
       // Convergence: the server must hold the mediator's mirror verbatim.

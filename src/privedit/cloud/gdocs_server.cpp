@@ -60,12 +60,13 @@ std::string GDocsServer::content_hash(const std::string& content) const {
   return hex_encode(crypto::Sha256::hash(as_bytes(content))).substr(0, 16);
 }
 
-net::HttpResponse GDocsServer::ack(const Document& doc,
-                                   bool include_content) const {
+net::HttpResponse GDocsServer::ack(const Document& doc, bool include_content,
+                                   int status, std::string_view flag,
+                                   std::string_view value) const {
   // The Ack conveys "the current content to the best of the server's
   // knowledge" (§IV-A). The full content rides along only when the client
   // saved against a stale revision and needs to reconcile; the happy path
-  // carries just the hash.
+  // carries just the hash. Rejections (409/412) carry the same fields.
   FormData form;
   if (include_content) {
     form.add("contentFromServer", doc.content);
@@ -73,26 +74,19 @@ net::HttpResponse GDocsServer::ack(const Document& doc,
   form.add("contentFromServerHash", content_hash(doc.content));
   form.add("rev", std::to_string(doc.rev));
   if (!doc.audit_chain.empty()) form.add("achain", doc.audit_chain);
-  net::HttpResponse resp = net::HttpResponse::make(
-      200, form.encode(), "application/x-www-form-urlencoded");
-  resp.headers.set("X-Privedit-BDelta", "1");
-  return resp;
+  if (!flag.empty()) form.add(std::string(flag), std::string(value));
+  return net::HttpResponse::make(status, form.encode(),
+                                 "application/x-www-form-urlencoded");
 }
 
-net::HttpResponse GDocsServer::chain_reject(Document& doc) {
+net::HttpResponse GDocsServer::chain_reject(const Document& doc) {
   // The save's audit link does not commit the revision this save would
   // produce — another writer advanced the chain (or the client is stale).
   // 412 + areason=chain + the current content, rev and chain: everything
   // the client needs to verify, fast-forward its auditor and re-stage,
   // without an extra round trip.
   ++counters_.chain_rejections;
-  net::HttpResponse resp = ack(doc, /*include_content=*/true);
-  resp.status = 412;
-  resp.reason = "Precondition Failed";
-  FormData body = FormData::parse(resp.body);
-  body.add("areason", "chain");
-  resp.body = body.encode();
-  return resp;
+  return ack(doc, /*include_content=*/true, 412, "areason", "chain");
 }
 
 // Ordering contract: every save path persists the audit sidecar (this
@@ -142,6 +136,22 @@ void GDocsServer::store_link(const std::string& doc_id, Document& doc,
   }
   doc.audit_chain = enc::encode_chain(chain);
   table_.persist_audit(doc_id, doc);
+}
+
+net::HttpResponse GDocsServer::commit(
+    const std::string& doc_id, Document& doc, std::string next,
+    const std::optional<enc::AuditLink>& alink, const FormData& form,
+    bool stale, std::string_view flag) {
+  table_.record_history(doc);
+  doc.content = std::move(next);
+  ++doc.rev;
+  // Chain sidecar before document record — see store_link's ordering
+  // contract.
+  if (alink) store_link(doc_id, doc, *alink, form);
+  table_.persist(doc_id, doc);
+  // A save against a stale revision carries the content back so the
+  // client can reconcile.
+  return ack(doc, stale, 200, flag, "1");
 }
 
 void GDocsServer::adopt_sync_audit(const std::string& doc_id, Document& doc,
@@ -273,10 +283,8 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
     FormData reply;
     reply.add("session", std::to_string(doc.next_session++));
     reply.add("rev", "0");
-    net::HttpResponse resp = net::HttpResponse::make(
-        201, reply.encode(), "application/x-www-form-urlencoded");
-    resp.headers.set("X-Privedit-BDelta", "1");
-    return resp;
+    return net::HttpResponse::make(201, reply.encode(),
+                                   "application/x-www-form-urlencoded");
   }
 
   if (cmd == "sync") {
@@ -308,6 +316,12 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
       return resp;
     }
 
+    // Anti-entropy push from a ReplicatedChannel repair pass: adopt the
+    // ciphertext + revision wholesale, creating the document if this
+    // replica never saw it. Trusting the pushed bytes is fine — the server
+    // is untrusted anyway, and integrity is enforced client-side by the
+    // crypto (a bogus sync just fails the open validator later).
+    std::string pushed;
     if (const auto bwire = form.get("bdelta")) {
       // Differential repair push: only the blocks our copy is missing.
       // Quarantined documents refuse it outright — the only quarantine
@@ -317,14 +331,13 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
         ++counters_.quarantine_write_rejections;
         return net::HttpResponse::make(503, "document quarantined");
       }
-      Document* based = table_.find(*doc_id);
+      const Document* based = table_.find(*doc_id);
       if (based == nullptr) {
         ++counters_.bdelta_mismatches;
         return net::HttpResponse::make(412, "no base for block delta");
       }
-      std::string healed;
       try {
-        healed = delta::apply_block_delta(enc::block_delta_from_wire(*bwire),
+        pushed = delta::apply_block_delta(enc::block_delta_from_wire(*bwire),
                                           based->content);
       } catch (const ParseError&) {
         ++counters_.bad_requests;
@@ -335,48 +348,29 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
         ++counters_.bdelta_mismatches;
         return net::HttpResponse::make(412, "block delta anchor mismatch");
       }
-      ++counters_.syncs;
       ++counters_.bdelta_syncs;
-      table_.record_history(*based);
-      based->content = std::move(healed);
-      std::uint64_t rev = based->rev + 1;
-      if (const auto rev_field = form.get("rev")) {
-        try {
-          rev = std::stoull(*rev_field);
-        } catch (...) {
+    } else {
+      pushed = form.get("content").value_or("");
+      if (is_quarantined(*doc_id)) {
+        // The one exit from quarantine: a repair push whose payload passes
+        // container validation. Anything else keeps the 503 wall up, so a
+        // damaged replica cannot "repair" its peers with more damage.
+        const bool valid =
+            enc::looks_like_container(pushed) &&
+            check_record(*doc_id, Store::Record{pushed, 0}, CheckConfig{},
+                         nullptr);
+        if (!valid) {
+          ++counters_.quarantine_write_rejections;
+          return net::HttpResponse::make(503, "document quarantined");
         }
+        ++counters_.quarantine_repairs;
+        unquarantine(*doc_id);
       }
-      based->rev = rev;
-      adopt_sync_audit(*doc_id, *based, form);
-      table_.persist(*doc_id, *based);
-      return ack(*based, /*include_content=*/false);
-    }
-
-    // Anti-entropy push from a ReplicatedChannel repair pass: adopt the
-    // full ciphertext + revision wholesale, creating the document if this
-    // replica never saw it. Trusting the pushed bytes is fine — the server
-    // is untrusted anyway, and integrity is enforced client-side by the
-    // crypto (a bogus sync just fails the open validator later).
-    const std::string pushed = form.get("content").value_or("");
-    if (is_quarantined(*doc_id)) {
-      // The one exit from quarantine: a repair push whose payload passes
-      // container validation. Anything else keeps the 503 wall up, so a
-      // damaged replica cannot "repair" its peers with more damage.
-      const bool valid =
-          enc::looks_like_container(pushed) &&
-          check_record(*doc_id, Store::Record{pushed, 0}, CheckConfig{},
-                       nullptr);
-      if (!valid) {
-        ++counters_.quarantine_write_rejections;
-        return net::HttpResponse::make(503, "document quarantined");
-      }
-      ++counters_.quarantine_repairs;
-      unquarantine(*doc_id);
     }
     ++counters_.syncs;
     Document& doc = table_.obtain(*doc_id);
     table_.record_history(doc);
-    doc.content = pushed;
+    doc.content = std::move(pushed);
     std::uint64_t rev = doc.rev + 1;
     if (const auto rev_field = form.get("rev")) {
       try {
@@ -441,7 +435,6 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
     for (const auto& [client, wire] : doc.witnesses) reply.add("w", wire);
     net::HttpResponse resp = net::HttpResponse::make(
         200, reply.encode(), "application/x-www-form-urlencoded");
-    resp.headers.set("X-Privedit-BDelta", "1");
     if (is_quarantined(*doc_id)) {
       // Reads still succeed — client crypto decides whether the bytes are
       // usable — but the damage flag rides along so validators can treat
@@ -486,8 +479,7 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
   }
 
   if (is_quarantined(*doc_id) &&
-      (form.contains("docContents") || form.contains("delta") ||
-       form.contains("bdelta"))) {
+      (form.contains("docContents") || form.contains("delta"))) {
     // No edits on top of rot: writes wait for the repair path.
     ++counters_.quarantine_write_rejections;
     return net::HttpResponse::make(503, "document quarantined");
@@ -505,108 +497,51 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
       return net::HttpResponse::make(400, "malformed audit link");
     }
   }
-
-  if (const auto bwire = form.get("bdelta")) {
-    // Full-state save expressed as a block delta against the server's
-    // current container (capability negotiated via X-Privedit-BDelta).
-    // Semantically identical to docContents — the decoded target replaces
-    // the document wholesale — it just doesn't repeat the bytes the server
-    // already holds.
-    bool stale = false;
-    if (const auto base_rev = form.get("rev")) {
-      stale = *base_rev != std::to_string(doc.rev);
-    }
-    if (alink && alink->rev != doc.rev + 1) return chain_reject(doc);
-    std::string next;
-    try {
-      next = delta::apply_block_delta(enc::block_delta_from_wire(*bwire),
-                                      doc.content);
-    } catch (const ParseError&) {
-      ++counters_.bad_requests;
-      return net::HttpResponse::make(400, "malformed block delta");
-    } catch (const Error&) {
-      // The client's picture of our container is wrong — lost write,
-      // concurrent save, or tampering. 412 with the ack fields (current
-      // hash + rev) tells it to retry as a plain docContents full save.
-      ++counters_.bdelta_mismatches;
-      net::HttpResponse resp = ack(doc, /*include_content=*/false);
-      resp.status = 412;
-      resp.reason = "Precondition Failed";
-      return resp;
-    }
-    ++counters_.bdelta_saves;
-    table_.record_history(doc);
-    doc.content = std::move(next);
-    ++doc.rev;
-    // Chain sidecar before document record — see store_link's ordering
-    // contract.
-    if (alink) store_link(*doc_id, doc, *alink, form);
-    table_.persist(*doc_id, doc);
-    return ack(doc, stale);
+  bool stale = false;
+  if (const auto base_rev = form.get("rev")) {
+    stale = *base_rev != std::to_string(doc.rev);
   }
 
   if (const auto contents = form.get("docContents")) {
-    bool stale = false;
-    if (const auto base_rev = form.get("rev")) {
-      stale = *base_rev != std::to_string(doc.rev);
-    }
     if (alink && alink->rev != doc.rev + 1) return chain_reject(doc);
     ++counters_.full_saves;
-    table_.record_history(doc);
-    doc.content = *contents;
-    ++doc.rev;
-    // Chain sidecar before document record — see store_link's ordering
-    // contract.
-    if (alink) store_link(*doc_id, doc, *alink, form);
-    table_.persist(*doc_id, doc);
-    return ack(doc, stale);
+    return commit(*doc_id, doc, *contents, alink, form, stale);
   }
 
   if (const auto delta_wire = form.get("delta")) {
-    // Optimistic concurrency: a stale base revision is applied anyway (the
-    // real service merges), but flagged so clients can warn the user.
-    bool conflict = false;
-    if (const auto base_rev = form.get("rev")) {
-      if (*base_rev != std::to_string(doc.rev)) {
-        conflict = true;
-        ++counters_.conflicts;
-      }
-    }
-    if (conflict && strict_revisions_) {
-      // Reject without mutating; the client must rebase and retry.
-      net::HttpResponse resp = ack(doc, /*include_content=*/true);
-      resp.status = 409;
-      resp.reason = "Conflict";
-      FormData body = FormData::parse(resp.body);
-      body.add("conflict", "1");
-      resp.body = body.encode();
-      return resp;
+    // An anchored delta (dbase=<size>:<crc32>) is a full-state save: the
+    // anchor, not the revision, says which container it applies to, so it
+    // has no conflict path. An unanchored delta is a keystroke under
+    // optimistic concurrency: a stale base revision is applied anyway (the
+    // real service merges) but flagged — or, in strict mode, rejected
+    // without mutating so the client rebases and retries.
+    const auto dbase = form.get("dbase");
+    const bool conflict = stale && !dbase;
+    if (conflict) {
+      ++counters_.conflicts;
+      if (strict_revisions_) return ack(doc, true, 409, "conflict", "1");
     }
     // Concurrency (409) outranks the chain check: a client that must
     // rebase will fast-forward its auditor off the conflict body's achain
     // and restage against the *new* tip in one step.
     if (alink && alink->rev != doc.rev + 1) return chain_reject(doc);
+    if (dbase && *dbase != delta::base_anchor(doc.content)) {
+      // The client's picture of our container is wrong — lost write,
+      // concurrent save, or tampering. 412 with the ack fields (current
+      // hash + rev) tells it to resend as a plain docContents save.
+      ++counters_.anchor_mismatches;
+      return ack(doc, /*include_content=*/false, 412);
+    }
+    std::string next;
     try {
-      const delta::Delta d = delta::Delta::parse(*delta_wire);
-      table_.record_history(doc);
-      doc.content = d.apply(doc.content);
+      next = delta::Delta::parse(*delta_wire).apply(doc.content);
     } catch (const Error&) {
       ++counters_.bad_requests;
       return net::HttpResponse::make(400, "malformed or inapplicable delta");
     }
-    ++doc.rev;
-    ++counters_.delta_saves;
-    // Chain sidecar before document record — see store_link's ordering
-    // contract.
-    if (alink) store_link(*doc_id, doc, *alink, form);
-    table_.persist(*doc_id, doc);
-    net::HttpResponse resp = ack(doc, conflict);
-    if (conflict) {
-      FormData body = FormData::parse(resp.body);
-      body.add("conflict", "1");
-      resp.body = body.encode();
-    }
-    return resp;
+    ++(dbase ? counters_.full_saves : counters_.delta_saves);
+    return commit(*doc_id, doc, std::move(next), alink, form, stale,
+                  conflict ? "conflict" : "");
   }
 
   ++counters_.bad_requests;
@@ -626,10 +561,8 @@ void GDocsServer::set_raw_content(const std::string& doc_id,
   if (doc == nullptr) {
     throw Error(ErrorCode::kInvalidArgument, "GDocsServer: no such document");
   }
-  table_.record_history(*doc);
-  doc->content = std::move(content);
-  ++doc->rev;
-  table_.persist(doc_id, *doc);
+  commit(doc_id, *doc, std::move(content), std::nullopt, FormData{},
+         /*stale=*/false);
 }
 
 const std::vector<std::string>& GDocsServer::history(

@@ -10,6 +10,12 @@
 //     session=…&rev=…&docContents=<full>   → replaces the whole document
 //                                            (the first save of a session)
 //     session=…&rev=…&delta=<delta wire>   → applies the delta server-side
+//     session=…&rev=…&delta=<wire>&dbase=<size>:<crc32 hex8>
+//                                          → full-state save as the paper's
+//                                            cdelta, anchored on the
+//                                            container it applies to (412 +
+//                                            ack fields on a mismatch →
+//                                            client resends docContents)
 //     cmd=spellcheck&text=…                → misspelt words (server-side
 //                                            feature: needs plaintext!)
 //     cmd=export&format=txt                → the stored content verbatim
@@ -18,19 +24,11 @@
 //                                            (creates the doc if absent)
 //     cmd=sync&digests=1                   → rev-anchored block-digest probe
 //                                            (rev/size/crc/bs/digests) for
-//                                            differential repair
+//                                            differential repair; the reply
+//                                            carries X-Privedit-BDelta: 1
 //     cmd=sync&rev=…&bdelta=<wire>         → repair push carrying only the
 //                                            blocks that differ (412 when
 //                                            the anchor no longer matches)
-//     session=…&rev=…&bdelta=<wire>        → full-state save as a block
-//                                            delta against the server's
-//                                            current container (412 + ack
-//                                            fields → client falls back to
-//                                            docContents)
-//
-// Every protocol response carries X-Privedit-BDelta: 1 — the capability
-// header clients check before sending any block-delta form (an older or
-// third-party server simply never advertises it).
 //     cmd=delete                           → drops the document and its
 //                                            stored record (quota reclaim)
 //     cmd=witness&w=<witness wire>         → stores a client's signed
@@ -70,6 +68,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <functional>
@@ -230,8 +229,8 @@ class GDocsServer {
     std::size_t load_quarantined = 0;  // unreadable records found at boot
     std::size_t quarantine_write_rejections = 0;  // 503s on damaged docs
     std::size_t quarantine_repairs = 0;  // validated syncs lifting quarantine
-    std::size_t bdelta_saves = 0;        // full-state saves sent as block deltas
-    std::size_t bdelta_mismatches = 0;   // 412s: block-delta anchor mismatch
+    std::size_t anchor_mismatches = 0;   // 412s: anchored-delta save base moved
+    std::size_t bdelta_mismatches = 0;   // 412s: repair block delta base moved
     std::size_t sync_probes = 0;         // cmd=sync&digests=1 digest reads
     std::size_t bdelta_syncs = 0;        // repair pushes applied as block deltas
     std::size_t witness_stores = 0;      // cmd=witness records accepted
@@ -243,10 +242,21 @@ class GDocsServer {
  private:
   using Document = DocTable::Document;
 
-  net::HttpResponse ack(const Document& doc, bool include_content) const;
+  /// The Ack (or, with `status` 409/412, the rejection) carrying the
+  /// document's hash, rev and chain, plus `flag`=`value` when set.
+  net::HttpResponse ack(const Document& doc, bool include_content,
+                        int status = 200, std::string_view flag = {},
+                        std::string_view value = {}) const;
   std::string content_hash(const std::string& content) const;
   void scrub_one(const std::string& doc_id, Document& doc);
-  net::HttpResponse chain_reject(Document& doc);
+  net::HttpResponse chain_reject(const Document& doc);
+  /// The one save commit: history, new content, ++rev, audit link (sidecar
+  /// first), persist, ack (`flag`=1 added when set).
+  net::HttpResponse commit(const std::string& doc_id, Document& doc,
+                           std::string next,
+                           const std::optional<enc::AuditLink>& alink,
+                           const FormData& form, bool stale,
+                           std::string_view flag = {});
   void store_link(const std::string& doc_id, Document& doc,
                   const enc::AuditLink& link, const FormData& form);
   void adopt_sync_audit(const std::string& doc_id, Document& doc,

@@ -274,8 +274,7 @@ net::HttpResponse ShardRouter::handle(const net::HttpRequest& request) {
   const FormData form = FormData::parse(request.body);
   const auto cmd = form.get("cmd");
   const bool is_write = cmd == "create" || cmd == "sync" || cmd == "delete" ||
-                        form.contains("docContents") ||
-                        form.contains("delta") || form.contains("bdelta");
+                        form.contains("docContents") || form.contains("delta");
   const std::string tenant{
       request.headers.get(net::kClientIdHeader).value_or(kAnonTenant)};
 
@@ -303,10 +302,9 @@ net::HttpResponse ShardRouter::handle(const net::HttpRequest& request) {
       refusal = tenants_.check_projected_bytes(owner.value_or(tenant),
                                                *doc_id, pushed.size());
     }
-  } else if (form.contains("delta") || form.contains("bdelta")) {
-    // The post-delta size is unknowable without applying the delta (and a
-    // block delta patches ciphertext the router cannot decode), so both
-    // are admitted optimistically and trued up afterwards; only a tenant
+  } else if (form.contains("delta")) {
+    // The post-delta size is unknowable without applying the delta, so it
+    // is admitted optimistically and trued up afterwards; only a tenant
     // already over its byte budget is refused up front.
     const std::string bill = tenants_.owner_tenant(*doc_id).value_or(tenant);
     if (tenants_.over_bytes(bill)) {

@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "privedit/util/crc32.hpp"
 #include "privedit/util/error.hpp"
 
 namespace privedit::delta {
@@ -247,6 +248,16 @@ Delta Delta::invert(std::string_view doc) const {
     }
   }
   return out.canonicalized();
+}
+
+std::string base_anchor(std::string_view base) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const std::uint32_t crc = crc32(as_bytes(base));
+  std::string out = std::to_string(base.size()) + ":";
+  for (int shift = 28; shift >= 0; shift -= 4) {
+    out += kHex[(crc >> shift) & 0xf];
+  }
+  return out;
 }
 
 }  // namespace privedit::delta

@@ -112,4 +112,9 @@ Delta affix_diff(std::string_view before, std::string_view after);
 Delta myers_diff(std::string_view before, std::string_view after,
                  std::size_t max_cost = 1u << 20);
 
+/// The anchor an anchored delta names its base by: "<size>:<crc32 hex8>"
+/// of the document the delta applies to. A full-state save sent as a delta
+/// carries it so the receiver applies the delta only to that exact base.
+std::string base_anchor(std::string_view base);
+
 }  // namespace privedit::delta

@@ -1,11 +1,11 @@
 #pragma once
 // Wire form of delta::BlockDelta and of the repair digest exchange.
 //
-// Block deltas ride inside form-encoded POST bodies (the save path's
-// `bdelta` field, anti-entropy's `cmd=sync` push), so the framing is text
-// with length-prefixed literals — self-delimiting for arbitrary payload
-// bytes, cheap to percent-encode for the container alphabets the payloads
-// actually carry:
+// Block deltas ride inside form-encoded POST bodies (anti-entropy's
+// `cmd=sync&bdelta=` push) and the journal's compacted records, so the
+// framing is text with length-prefixed literals — self-delimiting for
+// arbitrary payload bytes, cheap to percent-encode for the container
+// alphabets the payloads actually carry:
 //
 //   PEBD1;s=<source_size>;t=<target_size>;sc=<crc32 hex8>;tc=<crc32 hex8>;
 //   C<src_off>:<len>;            copy command

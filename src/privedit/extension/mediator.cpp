@@ -3,10 +3,8 @@
 #include <filesystem>
 
 #include "privedit/cloud/xml.hpp"
-#include "privedit/enc/block_wire.hpp"
 #include "privedit/enc/container.hpp"
 #include "privedit/crypto/sha256.hpp"
-#include "privedit/delta/block_diff.hpp"
 #include "privedit/delta/delta.hpp"
 #include "privedit/net/admission.hpp"
 #include "privedit/net/retry.hpp"
@@ -96,11 +94,7 @@ net::HttpResponse GDocsMediator::send_upstream(
     labeled.headers.set(net::kClientIdHeader, config_.client_id);
     return send_upstream(labeled);
   }
-  if (breaker_ == nullptr) {
-    net::HttpResponse resp = upstream_->round_trip(request);
-    if (resp.headers.get("X-Privedit-BDelta") == "1") upstream_bdelta_ = true;
-    return resp;
-  }
+  if (breaker_ == nullptr) return upstream_->round_trip(request);
   if (!breaker_->allow()) {
     ++counters_.breaker_short_circuits;
     throw net::TransportError(net::FaultKind::kConnect,
@@ -109,17 +103,11 @@ net::HttpResponse GDocsMediator::send_upstream(
   try {
     net::HttpResponse resp = upstream_->round_trip(request);
     breaker_->record_success();
-    if (resp.headers.get("X-Privedit-BDelta") == "1") upstream_bdelta_ = true;
     return resp;
   } catch (const net::TransportError&) {
     breaker_->record_failure();
     throw;
   }
-}
-
-OfflineQueue* GDocsMediator::offline_queue(const std::string& doc_id) {
-  if (!config_.offline.enabled) return nullptr;
-  return &offline_[doc_id];
 }
 
 bool GDocsMediator::offline_active(const std::string& doc_id) const {
@@ -141,11 +129,14 @@ net::HttpResponse GDocsMediator::blocked(const std::string& why) {
 void GDocsMediator::blank_ack_fields(net::HttpResponse& response) {
   FormData body = FormData::parse(response.body);
   bool touched = false;
-  if (body.contains("contentFromServer")) {
+  // Only a server's ack has anything to blank; a synthesized one does not.
+  if (const auto content = body.get("contentFromServer");
+      content && !content->empty()) {
     body.set("contentFromServer", "");
     touched = true;
   }
-  if (body.contains("contentFromServerHash")) {
+  if (const auto hash = body.get("contentFromServerHash");
+      hash && *hash != "0") {
     body.set("contentFromServerHash", "0");
     touched = true;
   }
@@ -212,12 +203,9 @@ void GDocsMediator::journal_offline_entry(const std::string& doc_id,
   // recovers exactly the composed state through the normal WAL replay.
   while (!journal->pending().empty()) journal->drop_front();
   const std::string cipher_doc = it->second.scheme().ciphertext_doc();
-  JournalEntry entry;
-  entry.base_rev = q.base_rev();
-  entry.full_save = q.full_save();
-  entry.checksum = content_hash16(cipher_doc);
-  entry.update = q.full_save() ? cipher_doc : q.pending_cipher()->to_wire();
-  journal->append_pending(entry);
+  journal->append_pending(
+      {q.base_rev(), q.full_save(), content_hash16(cipher_doc),
+       q.full_save() ? cipher_doc : q.pending_cipher()->to_wire()});
   ++counters_.journal_appends;
 }
 
@@ -230,132 +218,259 @@ bool GDocsMediator::try_flush(const std::string& doc_id) {
     q.clear();  // document vanished under us; nothing left to replay
     return true;
   }
-  DocumentAuditor* auditor = auditor_for(doc_id);
-  for (int attempt = 0; attempt <= config_.max_rebase_retries; ++attempt) {
+  // The composed update, resent at the queue's base revision (send_update
+  // substitutes it: server_rev_ tracks q.base_rev() while offline).
+  Update u;
+  u.flush = true;
+  u.full_save = q.full_save();
+  const auto build = [&] {
     DocumentSession& session = sessions_.find(doc_id)->second;
-    FormData form;
-    form.add("session", "offline-replay");
-    form.add("rev", std::to_string(q.base_rev()));
+    u.form = FormData{};
+    u.form.add("session", "offline-replay");
     if (q.full_save()) {
-      form.add("docContents", session.scheme().ciphertext_doc());
+      u.container = session.scheme().ciphertext_doc();
+      u.form.add("docContents", u.container);
     } else {
-      form.add("delta", q.pending_cipher()->to_wire());
+      u.form.add("delta", q.pending_cipher()->to_wire());
     }
-    if (auditor != nullptr && auditor->initialized()) {
-      // The session mirror already holds the composed update, so its
-      // container IS what the server will store — bind its CRC.
-      const enc::AuditLink link = auditor->stage_link(
-          auditor->committed_rev() + 1,
-          crc32(as_bytes(session.scheme().ciphertext_doc())));
-      form.add("alink", enc::encode_link(link));
-      form.add("abase", hex_encode(auditor->committed_head()));
-      form.add("abaserev", std::to_string(auditor->committed_rev()));
-    }
-    net::HttpRequest flush =
-        net::HttpRequest::post_form(q.target(), form.encode());
-    // One wire request per breaker cool-down: the probe marker makes every
-    // retry layer below take exactly one attempt.
-    flush.headers.set(net::kProbeHeader, "1");
     q.note_attempt(session.plaintext());
-    net::HttpResponse resp;
-    try {
-      resp = send_upstream(flush);
-    } catch (const net::TransportError&) {
-      return false;  // still unreachable (or the breaker refused the probe)
-    }
-    if (resp.ok()) {
-      const std::uint64_t acked =
-          parse_rev(FormData::parse(resp.body).get("rev"));
-      server_rev_[doc_id] = acked;
-      if (EditJournal* journal = journal_for(doc_id)) {
-        if (!journal->pending().empty()) {
-          journal->ack_front(acked,
-                             content_hash16(session.scheme().ciphertext_doc()));
-        }
-      }
-      if (auditor != nullptr && auditor->has_staged()) {
-        auditor->commit_staged();
-        ++counters_.audit_links_committed;
-      }
-      ++counters_.offline_flushes;
-      counters_.offline_flush_edits += q.queued();
-      q.clear();
-      return true;
-    }
-    if (resp.status != 409) {
-      return false;  // alive but refusing (overload?); stay offline
-    }
-    // The server advanced while we were away — or our previous flush landed
-    // and its ack was lost. Decrypt its authoritative state and decide.
-    const FormData ack = FormData::parse(resp.body);
-    const auto server_cipher = ack.get("contentFromServer");
-    const auto server_rev = ack.get("rev");
-    if (!server_cipher || !server_rev) return false;
-    if (auditor != nullptr) {
-      // Judge the conflict's chain and fast-forward before any re-stage.
-      auditor->drop_staged();
-      audit_adopt_served(doc_id, *auditor, ack);
-    }
+  };
+  build();
+  // The server advanced while we were away — or an earlier flush landed
+  // and its ack was lost. Decrypt its authoritative state and decide.
+  bool deduped = false;
+  u.rebuild = [&](const FormData& rejection) {
     DocumentSession fresh = DocumentSession::open(
-        config_.password, *server_cipher, config_.rng_factory);
+        config_.password, *rejection.get("contentFromServer"),
+        config_.rng_factory);
     const std::string server_plain = fresh.plaintext();
-    const std::string mirror = session.plaintext();
-    const std::uint64_t new_rev = parse_rev(server_rev);
+    const std::string mirror = sessions_.find(doc_id)->second.plaintext();
+    const std::uint64_t new_rev = parse_rev(rejection.get("rev"));
+    server_rev_[doc_id] = new_rev;
     if (server_plain == mirror) {
       // Everything we queued is already there (a delivered flush whose ack
       // died): adopt the server's container, settle, go back online.
       // Resending would duplicate every queued edit.
-      const std::string checksum =
-          content_hash16(fresh.scheme().ciphertext_doc());
+      if (EditJournal* journal = journal_for(doc_id)) {
+        if (!journal->pending().empty()) {
+          journal->ack_front(new_rev,
+                             content_hash16(fresh.scheme().ciphertext_doc()));
+        }
+      }
       sessions_.erase(doc_id);
       sessions_.emplace(doc_id, std::move(fresh));
-      server_rev_[doc_id] = new_rev;
-      if (EditJournal* journal = journal_for(doc_id)) {
-        if (!journal->pending().empty()) journal->ack_front(new_rev, checksum);
-      }
       ++counters_.offline_dedupes;
-      ++counters_.offline_flushes;
-      counters_.offline_flush_edits += q.queued();
-      q.clear();
-      return true;
+      deduped = true;
+      return false;
     }
     if (q.full_save()) {
       // A full save overwrites whatever the server holds; only the CAS
       // base needs refreshing. The mirror stays OUR content — it is the
       // payload — so the fresh session is discarded.
-      server_rev_[doc_id] = new_rev;
       q.rebase(new_rev, server_plain, delta::Delta{}, delta::Delta{});
-      journal_offline_entry(doc_id, q);
+    } else {
+      delta::Delta remaining;
+      if (q.attempted(server_plain)) {
+        // An earlier flush attempt landed (ack lost) and more edits queued
+        // since: only the difference still needs to go. Resending the
+        // whole composed update would duplicate the half that landed. The
+        // history check matters: under an asymmetric outage several
+        // attempts can be in doubt at once, and the one the server holds
+        // need not be the latest — misreading it as foreign progress would
+        // rebase our own edits over themselves.
+        remaining = delta::myers_diff(server_plain, mirror);
+        ++counters_.offline_dedupes;
+      } else {
+        // Genuine concurrent server-side progress: rebase the composed
+        // update over it, exactly like the collaborative 409 path.
+        const delta::Delta theirs =
+            delta::myers_diff(q.base_plain(), server_plain);
+        remaining = delta::Delta::transform(*q.pending_plain(), theirs,
+                                            /*a_wins=*/false);
+        ++counters_.offline_rebases;
+      }
+      const delta::Delta new_cipher = fresh.transform_delta(remaining);
+      sessions_.erase(doc_id);
+      sessions_.emplace(doc_id, std::move(fresh));
+      q.rebase(new_rev, server_plain, remaining, new_cipher);
+    }
+    journal_offline_entry(doc_id, q);
+    build();
+    return true;
+  };
+  net::HttpResponse resp;
+  try {
+    resp = send_update(doc_id, q.target(), u);
+  } catch (const net::TransportError&) {
+    return false;  // still unreachable (or the breaker refused the probe)
+  }
+  if (!resp.ok() && !deduped) return false;  // refusing (overload?); stay
+  ++counters_.offline_flushes;
+  counters_.offline_flush_edits += q.queued();
+  q.clear();
+  return true;
+}
+
+net::HttpResponse GDocsMediator::send_update(const std::string& doc_id,
+                                             const std::string& target,
+                                             Update& u) {
+  OfflineQueue* oq = config_.offline.enabled ? &offline_[doc_id] : nullptr;
+  const auto queue_offline = [&] {
+    // The mirror already holds the update, which is exactly the queue
+    // invariant; the flush pushes it when the server is back.
+    if (u.full_save) {
+      oq->queue_full_save();
+    } else {
+      oq->queue_delta(u.plain, u.cipher);
+    }
+    journal_offline_entry(doc_id, *oq);
+    ++counters_.offline_acks;
+    return synth_offline_ack(++editor_rev_[doc_id]);
+  };
+  if (oq != nullptr && oq->active() && !u.flush) return queue_offline();
+  EditJournal* journal = journal_for(doc_id);
+  DocumentAuditor* auditor = auditor_for(doc_id);
+  net::HttpResponse resp;
+  for (int attempt = 0;; ++attempt) {
+    if (config_.offline.enabled) {
+      // The mediator owns the wire revision: the editor's view may be a
+      // virtual (offline) sequence running ahead of the server's.
+      u.form.set("rev", std::to_string(server_rev_[doc_id]));
+    }
+    const std::uint64_t base_rev = parse_rev(u.form.get("rev"));
+    const bool auditing = auditor != nullptr && auditor->initialized();
+    if (!u.full_save && (journal != nullptr || auditing)) {
+      // The journal checksum and the audit link both bind the container
+      // this delta produces. Serialising it is pure waste without them (it
+      // dominated the per-edit cost at small block sizes).
+      u.container = sessions_.find(doc_id)->second.scheme().ciphertext_doc();
+    }
+    if (auditing) {
+      // Durable BEFORE the wire, like the journal entry below.
+      stage_link(*auditor, u.form, auditor->committed_rev() + 1,
+                 crc32(as_bytes(u.container)));
+    }
+    std::string checksum;
+    if (journal != nullptr) {
+      checksum = content_hash16(u.container);
+      // Write-ahead: if the send dies below, the entry is still pending at
+      // the next open and gets replayed. A flush's entry is already there.
+      if (!u.flush) {
+        journal->append_pending(
+            {base_rev, u.full_save, checksum,
+             u.full_save ? u.container : u.form.get("delta").value_or("")});
+        ++counters_.journal_appends;
+      }
+    }
+    const bool anchored = u.form.contains("dbase");
+    if (anchored) {
+      counters_.delta_full_save_bytes += u.form.get("delta")->size();
+    } else if (u.full_save) {
+      counters_.full_save_bytes += u.container.size();
+    }
+    std::string body = u.form.encode();
+    apply_outgoing_mitigations(body);
+    net::HttpRequest request =
+        net::HttpRequest::post_form(target, std::move(body));
+    // One wire request per breaker cool-down: the probe marker makes every
+    // retry layer below take exactly one attempt.
+    if (u.flush) request.headers.set(net::kProbeHeader, "1");
+    try {
+      resp = send_upstream(request);
+    } catch (const net::TransportError&) {
+      if (oq == nullptr || u.flush) throw;  // a flush stays offline
+      // Retry budget exhausted (or breaker open): flip the document
+      // offline.
+      oq->enter(server_rev_[doc_id], std::move(u.base_plain), target);
+      ++counters_.offline_entered;
+      return queue_offline();
+    }
+    // A flush that did not land keeps its entry: the queue still holds it.
+    if (journal != nullptr && !journal->pending().empty() &&
+        (resp.ok() || !u.flush)) {
+      settle_journal(*journal, resp, base_rev, checksum);
+    }
+    if (resp.status != 409 && resp.status != 412) break;
+    const FormData rejection = FormData::parse(resp.body);
+    // A 412 areason=chain is retried like a conflict: the update is fine,
+    // only the staged link extended a stale head (a peer advanced the
+    // chain under us).
+    const bool chain = auditor != nullptr && resp.status == 412 &&
+                       rejection.get("areason") == "chain";
+    if (chain) ++counters_.audit_chain_retries;
+    if (anchored && !chain && resp.status == 412) {
+      // The anchor missed: the server's container is not what our mirror
+      // says (lost save, concurrent unmediated writer, provider tampering).
+      // The plain full save is always correct.
+      ++counters_.delta_full_save_fallbacks;
+      u.form.remove("dbase");
+      u.form.remove("delta");
+      u.form.set("docContents", u.container);
       continue;
     }
-    delta::Delta remaining;
-    if (q.attempted(server_plain)) {
-      // An earlier flush attempt landed (ack lost) and more edits queued
-      // since: only the difference still needs to go. Resending the whole
-      // composed update would duplicate the half that landed. The history
-      // check matters: under an asymmetric outage several attempts can be
-      // in doubt at once, and the one the server holds need not be the
-      // latest — misreading it as foreign progress would rebase our own
-      // edits over themselves.
-      remaining = delta::myers_diff(server_plain, mirror);
-      ++counters_.offline_dedupes;
-    } else {
-      // Genuine concurrent server-side progress: rebase the composed
-      // update over it, exactly like the collaborative 409 path.
-      const delta::Delta theirs =
-          delta::myers_diff(q.base_plain(), server_plain);
-      remaining =
-          delta::Delta::transform(*q.pending_plain(), theirs, /*a_wins=*/false);
-      ++counters_.offline_rebases;
+    // A 409 is rebuilt on by a flush and by collaborative editing; the
+    // editor sees it otherwise. A full save resends the same container, so
+    // two chain retries suffice for it.
+    const bool conflict =
+        resp.status == 409 && (u.flush || config_.collaborative);
+    const int max_retries =
+        u.full_save && !u.flush ? 2 : config_.max_rebase_retries;
+    if (!(chain || conflict) || attempt >= max_retries ||
+        !rejection.contains("contentFromServer") ||
+        !rejection.contains("rev")) {
+      break;
     }
-    const delta::Delta new_cipher = fresh.transform_delta(remaining);
-    sessions_.erase(doc_id);
-    sessions_.emplace(doc_id, std::move(fresh));
-    server_rev_[doc_id] = new_rev;
-    q.rebase(new_rev, server_plain, remaining, new_cipher);
-    journal_offline_entry(doc_id, q);
+    if (auditor != nullptr) {
+      // Verify the rejection's chain and fast-forward BEFORE re-staging: a
+      // link computed from a stale head would make the whole chain
+      // unverifiable for every client.
+      auditor->drop_staged();
+      audit_adopt_served(doc_id, *auditor, rejection);
+    }
+    if (u.rebuild && !u.rebuild(rejection)) break;
   }
-  return false;
+  if (settle_link(auditor, resp.ok())) {
+    maybe_publish_witness(doc_id, target, *auditor);
+  }
+  if (resp.ok() && u.form.contains("dbase")) ++counters_.delta_full_saves;
+  if (config_.offline.enabled && resp.ok()) {
+    const bool drifted = editor_rev_[doc_id] != server_rev_[doc_id];
+    server_rev_[doc_id] = parse_rev(FormData::parse(resp.body).get("rev"));
+    if (!u.flush) {
+      if (drifted) {
+        rewrite_ack_rev(resp, ++editor_rev_[doc_id]);
+      } else {
+        editor_rev_[doc_id] = server_rev_[doc_id];
+      }
+    }
+  }
+  return resp;
+}
+
+void GDocsMediator::stage_link(DocumentAuditor& auditor, FormData& form,
+                               std::uint64_t rev, std::uint32_t crc) {
+  // crc 0 is the auditor's "unbound" sentinel — only a journal replay of a
+  // delta lacks the container. A link staged for the same revision before
+  // the crash does bind it, so it is reused.
+  if (crc != 0 || !auditor.has_staged() || auditor.staged()->rev != rev) {
+    auditor.stage_link(rev, crc);
+  }
+  form.set("alink", enc::encode_link(*auditor.staged()));
+  form.set("abase", hex_encode(auditor.committed_head()));
+  form.set("abaserev", std::to_string(auditor.committed_rev()));
+}
+
+bool GDocsMediator::settle_link(DocumentAuditor* auditor, bool acked) {
+  if (auditor == nullptr || !auditor->has_staged()) return false;
+  if (!acked) {
+    // A clean rejection: the server did not apply the save, so the staged
+    // link must not survive to poison the next verify.
+    auditor->drop_staged();
+    return false;
+  }
+  auditor->commit_staged();
+  ++counters_.audit_links_committed;
+  return true;
 }
 
 DocumentAuditor* GDocsMediator::auditor_for(const std::string& doc_id) {
@@ -584,19 +699,11 @@ net::HttpResponse GDocsMediator::recover_open(const std::string& doc_id,
     DocumentAuditor* auditor = auditor_for(doc_id);
     if (auditor != nullptr && auditor->initialized()) {
       // The replayed save must extend the chain like the original send
-      // would have; a surviving staged link (the crash hit between stage
-      // and ack) is reused, otherwise one is staged fresh. Only a full
-      // save knows its container bytes here — delta replays bind crc 0,
-      // the auditor's "unbound" sentinel.
-      if (!auditor->has_staged() ||
-          auditor->staged()->rev != entry.base_rev + 1) {
-        auditor->stage_link(entry.base_rev + 1,
-                            entry.full_save ? crc32(as_bytes(entry.update))
-                                            : 0);
-      }
-      form.add("alink", enc::encode_link(*auditor->staged()));
-      form.add("abase", hex_encode(auditor->committed_head()));
-      form.add("abaserev", std::to_string(auditor->committed_rev()));
+      // would have. Only a full save knows its container bytes here; a
+      // delta replay reuses the link staged before the crash, if any, or
+      // binds the "unbound" crc 0.
+      stage_link(*auditor, form, entry.base_rev + 1,
+                 entry.full_save ? crc32(as_bytes(entry.update)) : 0);
     }
     const net::HttpResponse replay_resp = send_upstream(
         net::HttpRequest::post_form(request.target, form.encode()));
@@ -605,10 +712,7 @@ net::HttpResponse GDocsMediator::recover_open(const std::string& doc_id,
     rev = ack.contains("rev") ? parse_rev(ack.get("rev"))
                               : entry.base_rev + 1;
     journal->ack_front(rev, entry.checksum);
-    if (auditor != nullptr && auditor->has_staged()) {
-      auditor->commit_staged();
-      ++counters_.audit_links_committed;
-    }
+    settle_link(auditor, true);
     ++counters_.journal_replays;
     replayed = true;
   }
@@ -703,39 +807,28 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
     resp = recover_open(doc_id, request, std::move(resp));
     FormData reply = FormData::parse(resp.body);
     const std::string content = reply.get("content").value_or("");
-    if (content.empty()) {
-      // Fork consistency first: an empty reply for a document with
-      // acknowledged chain history is the server denying that history.
-      audit_check_open(doc_id, request.target, reply, content);
-      // Empty document — start a fresh encrypted session for it.
-      sessions_.erase(doc_id);
-      sessions_.emplace(doc_id,
-                        DocumentSession::create_new(config_.password,
-                                                    config_.scheme,
-                                                    config_.rng_factory));
-      if (EditJournal* journal = journal_for(doc_id)) {
-        if (journal->pending().empty()) {
-          journal->reset(parse_rev(reply.get("rev")), content_hash16(""));
-        }
-      }
-      if (config_.offline.enabled) {
-        server_rev_[doc_id] = parse_rev(reply.get("rev"));
-        editor_rev_[doc_id] = server_rev_[doc_id];
-      }
-      return resp;
-    }
     try {
-      DocumentSession session = DocumentSession::open(
-          config_.password, content, config_.rng_factory);
+      // An empty document starts a fresh encrypted session.
+      DocumentSession session =
+          content.empty()
+              ? DocumentSession::create_new(config_.password, config_.scheme,
+                                            config_.rng_factory)
+              : DocumentSession::open(config_.password, content,
+                                      config_.rng_factory);
       // The container decrypted, so these are genuine client-written
-      // bytes — now verify they are the HISTORY we were promised.
+      // bytes — now verify they are the HISTORY we were promised. (An
+      // empty reply for a document with acknowledged chain history is the
+      // server denying that history.)
       audit_check_open(doc_id, request.target, reply, content);
-      reply.set("content", session.plaintext());
+      if (!content.empty()) {
+        reply.set("content", session.plaintext());
+        resp.body = reply.encode();
+        unmanaged_.erase(doc_id);
+        ++counters_.opens_decrypted;
+      }
       sessions_.erase(doc_id);
       sessions_.emplace(doc_id, std::move(session));
-      unmanaged_.erase(doc_id);
-      resp.body = reply.encode();
-      ++counters_.opens_decrypted;
+      const std::uint64_t rev = parse_rev(reply.get("rev"));
       if (EditJournal* journal = journal_for(doc_id)) {
         // Converged with the server: adopt its (verified) state as the
         // new baseline. Entries the server refused to take stay pending
@@ -743,15 +836,14 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
         // container rides along as the durable base compact() will
         // delta-compress pending full saves against.
         if (journal->pending().empty()) {
-          journal->reset(parse_rev(reply.get("rev")), content_hash16(content),
-                         content);
+          journal->reset(rev, content_hash16(content), content);
         }
       }
       if (config_.offline.enabled) {
         // The editor now sees the server's real revision: the virtual
         // sequence (if any) reconverges here.
-        server_rev_[doc_id] = parse_rev(reply.get("rev"));
-        editor_rev_[doc_id] = server_rev_[doc_id];
+        server_rev_[doc_id] = rev;
+        editor_rev_[doc_id] = rev;
       }
       return resp;
     } catch (const ParseError&) {
@@ -775,374 +867,121 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
 
   if (unmanaged) {
     ++counters_.passthrough_unmanaged;
-    return upstream_->round_trip(request);
+    return send_upstream(request);
   }
 
   if (sessions_.find(doc_id) == sessions_.end()) {
     return blocked("document has no active encrypted session");
   }
+  // Only the mediator decides which saves ride an anchored cdelta.
+  form.remove("dbase");
+
+  // An offline document first tries to reconnect. Still cut off, the save
+  // is absorbed locally (send_update queues it) — or, at the cap, pushed
+  // back *before* the mirror moves.
+  const bool saving = form.contains("docContents") || form.contains("delta");
+  const bool cut_off = saving && offline_active(doc_id) && !try_flush(doc_id);
+  if (cut_off && offline_queued(doc_id) >= config_.offline.max_queued_edits) {
+    ++counters_.offline_backpressure;
+    return offline_backpressure_response();
+  }
 
   if (const auto contents = form.get("docContents")) {
-    OfflineQueue* oq = offline_queue(doc_id);
-    if (oq != nullptr && oq->active() && !try_flush(doc_id)) {
-      // Still cut off: absorb the save locally — or push back at the cap.
-      if (oq->queued() >= config_.offline.max_queued_edits) {
-        ++counters_.offline_backpressure;
-        return offline_backpressure_response();
-      }
-      sessions_.find(doc_id)->second.encrypt_full(*contents);
-      oq->queue_full_save();
-      journal_offline_entry(doc_id, *oq);
-      ++counters_.full_saves_encrypted;
-      ++counters_.offline_acks;
-      return synth_offline_ack(++editor_rev_[doc_id]);
-    }
     // try_flush may have swapped the session (dedupe/rebase adopt the
     // server's container) — re-resolve before touching the mirror.
     DocumentSession& live = sessions_.find(doc_id)->second;
-    std::string ciphertext;
-    std::string bdelta_wire;
-    if (config_.block_delta_saves && upstream_bdelta_) {
-      // Differential full save. encrypt_full re-randomises every block, so
-      // two independent encryptions share nothing — the new container must
-      // be derived *incrementally* (transform of the plaintext diff) for
-      // the unedited blocks to stay byte-identical with what the server
-      // holds. Our ciphertext mirror tracks the server's copy exactly (the
-      // journal's checksum machinery depends on that already), so it is
-      // the delta's anchor; if the server has diverged anyway, it answers
-      // 412 and the fallback below resends the plain full save.
-      const std::string previous = live.scheme().ciphertext_doc();
+    Update u;
+    u.full_save = true;
+    // The offline queue's base should this send flip the doc offline.
+    if (config_.offline.enabled) u.base_plain = *contents;
+    // An empty mirror may stand for a document the server holds as ""
+    // (fresh from create): there is nothing to anchor on.
+    std::string mirror_plain;
+    if (config_.delta_full_saves) mirror_plain = live.plaintext();
+    if (!mirror_plain.empty()) {
+      // The paper's cdelta as the save. encrypt_full re-randomises every
+      // block, so the new container is derived *incrementally* (transform
+      // of the plaintext diff) for the unedited blocks to stay
+      // byte-identical with what the server holds — the cdelta applied to
+      // the old container IS the new one. Our ciphertext mirror tracks the
+      // server's copy exactly (the journal's checksum machinery depends on
+      // that already), so it is the anchor; if the server diverged anyway
+      // it answers 412 and send_update resends the plain full save.
       try {
-        live.transform_delta(delta::myers_diff(live.plaintext(), *contents));
-        ciphertext = live.scheme().ciphertext_doc();
-        std::string wire = enc::block_delta_to_wire(
-            delta::block_diff(previous, ciphertext));
-        if (wire.size() < ciphertext.size()) bdelta_wire = std::move(wire);
+        const std::string before = live.scheme().ciphertext_doc();
+        const delta::Delta cdelta =
+            live.transform_delta(delta::myers_diff(mirror_plain, *contents));
+        u.container = cdelta.apply(before);
+        std::string wire = cdelta.to_wire();
+        if (wire.size() < u.container.size()) {
+          form.remove("docContents");
+          form.set("delta", std::move(wire));
+          form.set("dbase", delta::base_anchor(before));
+        }
       } catch (const Error&) {
-        ciphertext.clear();  // derivation refused; re-encrypt from scratch
+        u.container.clear();  // derivation refused; re-encrypt from scratch
       }
     }
-    if (ciphertext.empty()) ciphertext = live.encrypt_full(*contents);
-    if (bdelta_wire.empty()) {
-      form.set("docContents", ciphertext);
-    } else {
-      form.remove("docContents");
-      form.set("bdelta", bdelta_wire);
-    }
-    if (config_.offline.enabled) {
-      // The mediator owns the wire revision: the editor's view may be a
-      // virtual (offline) sequence running ahead of the server's.
-      form.set("rev", std::to_string(server_rev_[doc_id]));
-    }
-    DocumentAuditor* auditor = auditor_for(doc_id);
-    if (auditor != nullptr && auditor->initialized()) {
-      // Stage the chain link — durable BEFORE the wire, the same
-      // write-ahead discipline as the journal entry below.
-      const enc::AuditLink link = auditor->stage_link(
-          auditor->committed_rev() + 1, crc32(as_bytes(ciphertext)));
-      form.set("alink", enc::encode_link(link));
-      form.set("abase", hex_encode(auditor->committed_head()));
-      form.set("abaserev", std::to_string(auditor->committed_rev()));
-    }
-    const std::uint64_t base_rev = parse_rev(form.get("rev"));
-    const std::string checksum = content_hash16(ciphertext);
-    EditJournal* journal = journal_for(doc_id);
-    if (journal != nullptr) {
-      // Write-ahead: durable before the wire. If the send dies below, the
-      // entry is still pending at the next open and gets replayed.
-      journal->append_pending({base_rev, /*full_save=*/true, checksum,
-                               ciphertext});
-      ++counters_.journal_appends;
-    }
-    std::string body = form.encode();
-    apply_outgoing_mitigations(body);
-    net::HttpResponse resp;
-    try {
-      resp = send_upstream(
-          net::HttpRequest::post_form(request.target, std::move(body)));
-    } catch (const net::TransportError&) {
-      if (oq == nullptr) throw;
-      // Retry budget exhausted (or breaker open): flip the document
-      // offline. The mirror already holds the new content; the flush will
-      // push the whole container when the server comes back.
-      oq->enter(server_rev_[doc_id], *contents, request.target);
-      oq->queue_full_save();
-      journal_offline_entry(doc_id, *oq);
-      ++counters_.offline_entered;
-      ++counters_.full_saves_encrypted;
-      ++counters_.offline_acks;
-      return synth_offline_ack(++editor_rev_[doc_id]);
-    }
-    if (journal != nullptr) settle_journal(*journal, resp, base_rev, checksum);
-    if (auditor != nullptr && resp.status == 412 &&
-        FormData::parse(resp.body).get("areason") == "chain") {
-      // Another writer advanced the chain past our staged link. Verify
-      // the rejection's chain, fast-forward, and resend: round_trip
-      // re-encrypts and re-stages against the new tip.
-      auditor->drop_staged();
-      audit_adopt_served(doc_id, *auditor, FormData::parse(resp.body));
-      ++counters_.audit_chain_retries;
-      if (audit_retry_depth_ < 2) {
-        ++audit_retry_depth_;
-        try {
-          net::HttpResponse retry = round_trip(request);
-          --audit_retry_depth_;
-          return retry;
-        } catch (...) {
-          --audit_retry_depth_;
-          throw;
-        }
-      }
-      return resp;
-    }
-    if (!bdelta_wire.empty()) {
-      counters_.bdelta_bytes += bdelta_wire.size();
-      if (resp.status == 412) {
-        // The server's container is not what our mirror says (lost save,
-        // concurrent unmediated writer, provider tampering): the delta
-        // cannot anchor. Resend as the plain full save, which is always
-        // correct. settle_journal above already dropped the refused entry.
-        ++counters_.bdelta_fallbacks;
-        if (++bdelta_fallback_streak_ >= 3) {
-          // The capability latch is stale — a migrated shard or replaced
-          // upstream keeps refusing anchors. Clear it; the next response
-          // advertising X-Privedit-BDelta re-latches (the re-probe).
-          upstream_bdelta_ = false;
-          bdelta_fallback_streak_ = 0;
-          ++counters_.bdelta_renegotiations;
-        }
-        form.remove("bdelta");
-        form.set("docContents", ciphertext);
-        if (journal != nullptr) {
-          journal->append_pending({base_rev, /*full_save=*/true, checksum,
-                                   ciphertext});
-          ++counters_.journal_appends;
-        }
-        std::string full_body = form.encode();
-        apply_outgoing_mitigations(full_body);
-        try {
-          resp = send_upstream(
-              net::HttpRequest::post_form(request.target,
-                                          std::move(full_body)));
-        } catch (const net::TransportError&) {
-          if (oq == nullptr) throw;
-          oq->enter(server_rev_[doc_id], *contents, request.target);
-          oq->queue_full_save();
-          journal_offline_entry(doc_id, *oq);
-          ++counters_.offline_entered;
-          ++counters_.full_saves_encrypted;
-          ++counters_.offline_acks;
-          return synth_offline_ack(++editor_rev_[doc_id]);
-        }
-        if (journal != nullptr) {
-          settle_journal(*journal, resp, base_rev, checksum);
-        }
-        counters_.full_save_bytes += ciphertext.size();
-      } else if (resp.ok()) {
-        ++counters_.bdelta_saves;
-        bdelta_fallback_streak_ = 0;
-      }
-    } else {
-      counters_.full_save_bytes += ciphertext.size();
-    }
-    if (auditor != nullptr && auditor->has_staged()) {
-      if (resp.ok()) {
-        auditor->commit_staged();
-        ++counters_.audit_links_committed;
-        maybe_publish_witness(doc_id, request.target, *auditor);
-      } else {
-        // A clean rejection: the server did not apply the save, so the
-        // staged link must not survive to poison the next verify.
-        auditor->drop_staged();
-      }
-    }
+    if (u.container.empty()) u.container = live.encrypt_full(*contents);
+    if (!form.contains("dbase")) form.set("docContents", u.container);
+    u.form = std::move(form);
+    net::HttpResponse resp = send_update(doc_id, request.target, u);
     ++counters_.full_saves_encrypted;
-    if (config_.offline.enabled && resp.ok()) {
-      const bool drifted = editor_rev_[doc_id] != server_rev_[doc_id];
-      server_rev_[doc_id] = parse_rev(FormData::parse(resp.body).get("rev"));
-      if (drifted) {
-        rewrite_ack_rev(resp, ++editor_rev_[doc_id]);
-      } else {
-        editor_rev_[doc_id] = server_rev_[doc_id];
-      }
-    }
     blank_ack_fields(resp);
     return resp;
   }
 
   if (const auto delta_wire = form.get("delta")) {
-    OfflineQueue* oq = offline_queue(doc_id);
-    if (oq != nullptr && oq->active() && !try_flush(doc_id)) {
-      // Still cut off: compose the edit into the pending update — or push
-      // back at the cap *before* the mirror moves.
-      if (oq->queued() >= config_.offline.max_queued_edits) {
-        ++counters_.offline_backpressure;
-        return offline_backpressure_response();
-      }
-      DocumentSession& live = sessions_.find(doc_id)->second;
-      delta::Delta pdelta = delta::Delta::parse(*delta_wire);
-      if (config_.rediff) {
-        const std::string before = live.plaintext();
-        const std::string after = pdelta.apply(before);
-        pdelta = delta::myers_diff(before, after);
-      }
-      const delta::Delta cdelta = live.transform_delta(pdelta);
-      oq->queue_delta(pdelta, cdelta);
-      journal_offline_entry(doc_id, *oq);
-      ++counters_.deltas_transformed;
-      ++counters_.offline_acks;
-      return synth_offline_ack(++editor_rev_[doc_id]);
-    }
-    DocumentSession& fronted = sessions_.find(doc_id)->second;
-    delta::Delta pdelta = delta::Delta::parse(*delta_wire);
+    DocumentSession& live = sessions_.find(doc_id)->second;
+    Update u;
+    u.plain = delta::Delta::parse(*delta_wire);
     if (config_.rediff) {
       // Don't trust the client's op sequence: recompute a minimal delta
       // between the two document versions (§VI-B countermeasure).
-      const std::string before = fronted.plaintext();
-      const std::string after = pdelta.apply(before);
-      pdelta = delta::myers_diff(before, after);
+      const std::string before = live.plaintext();
+      u.plain = delta::myers_diff(before, u.plain.apply(before));
     }
-
-    // Collaborative rebase loop: on a strict-revision 409, adopt the
-    // server's (decrypted) state, transform our edit over the concurrent
-    // one, and retry with the fresh revision. The base snapshot is only
-    // needed for that rebase diff — don't pay O(doc) for it otherwise.
-    // Offline mode needs it too: it is the rebase base if this very send
-    // fails and the document flips offline.
-    std::string base;
-    if (config_.collaborative || config_.offline.enabled) {
-      base = fronted.plaintext();
+    // The base snapshot is the collaborative rebase's diff base and the
+    // offline queue's base should this send flip the doc offline — don't
+    // pay O(doc) for it otherwise.
+    if (!cut_off && (config_.collaborative || config_.offline.enabled)) {
+      u.base_plain = live.plaintext();
     }
-    delta::Delta working = std::move(pdelta);
+    u.cipher = live.transform_delta(u.plain);
+    form.set("delta", u.cipher.to_wire());
+    u.form = std::move(form);
     bool rebased = false;
-    net::HttpResponse resp;
-    EditJournal* journal = journal_for(doc_id);
-    DocumentAuditor* auditor = auditor_for(doc_id);
-    for (int attempt = 0;; ++attempt) {
-      DocumentSession& live = sessions_.find(doc_id)->second;
-      const delta::Delta cdelta = live.transform_delta(working);
-      form.set("delta", cdelta.to_wire());
-      if (config_.offline.enabled) {
-        form.set("rev", std::to_string(server_rev_[doc_id]));
-      }
-      const std::uint64_t base_rev = parse_rev(form.get("rev"));
-      // The checksum exists for the journal's rollback check; serialising
-      // and hashing the whole container per delta is pure waste without
-      // one (it dominated the per-edit cost at small block sizes). The
-      // audit chain needs the same serialisation: its link binds the
-      // CRC-32 of the container this delta produces.
-      const bool auditing = auditor != nullptr && auditor->initialized();
-      std::string cipher_doc;
-      if (journal != nullptr || auditing) {
-        cipher_doc = live.scheme().ciphertext_doc();
-      }
-      std::string checksum;
-      if (journal != nullptr) {
-        checksum = content_hash16(cipher_doc);
-        journal->append_pending({base_rev, /*full_save=*/false, checksum,
-                                 cdelta.to_wire()});
-        ++counters_.journal_appends;
-      }
-      if (auditing) {
-        const enc::AuditLink link = auditor->stage_link(
-            auditor->committed_rev() + 1, crc32(as_bytes(cipher_doc)));
-        form.set("alink", enc::encode_link(link));
-        form.set("abase", hex_encode(auditor->committed_head()));
-        form.set("abaserev", std::to_string(auditor->committed_rev()));
-      }
-      std::string body = form.encode();
-      apply_outgoing_mitigations(body);
-      try {
-        resp = send_upstream(
-            net::HttpRequest::post_form(request.target, std::move(body)));
-      } catch (const net::TransportError&) {
-        if (oq == nullptr) throw;
-        // Retry budget exhausted (or breaker open): flip the document
-        // offline. The mirror already holds base+working (transform_delta
-        // above advanced it), which is exactly the queue invariant.
-        oq->enter(server_rev_[doc_id], base, request.target);
-        oq->queue_delta(working, cdelta);
-        journal_offline_entry(doc_id, *oq);
-        ++counters_.offline_entered;
-        ++counters_.deltas_transformed;
-        ++counters_.offline_acks;
-        return synth_offline_ack(++editor_rev_[doc_id]);
-      }
-      if (journal != nullptr) {
-        // A 409 drops the entry (the server refused it); the rebase below
-        // appends a fresh one for the transformed retry.
-        settle_journal(*journal, resp, base_rev, checksum);
-      }
-      // A 412 areason=chain is retried like a conflict even without the
-      // collaborative flag: the edit is fine, only the staged link
-      // extended a stale head (a peer advanced the chain under us).
-      const bool chain_retry =
-          auditor != nullptr && resp.status == 412 &&
-          FormData::parse(resp.body).get("areason") == "chain";
-      if (chain_retry) ++counters_.audit_chain_retries;
-      if (!chain_retry &&
-          (resp.status != 409 || !config_.collaborative ||
-           attempt >= config_.max_rebase_retries)) {
-        break;
-      }
-      if (chain_retry && attempt >= config_.max_rebase_retries) break;
-      const FormData ack = FormData::parse(resp.body);
-      const auto server_cipher = ack.get("contentFromServer");
-      const auto server_rev = ack.get("rev");
-      if (!server_cipher || !server_rev) break;
-      if (auditor != nullptr) {
-        // Verify the rejection's chain and fast-forward BEFORE
-        // re-staging: a link computed from a stale head would make the
-        // whole chain unverifiable for every client.
-        auditor->drop_staged();
-        audit_adopt_served(doc_id, *auditor, ack);
-      }
-
+    u.rebuild = [&](const FormData& rejection) {
+      // Adopt the server's (decrypted) state, transform our edit over the
+      // other writers' net effect (they committed first, they win insert
+      // ties), and retry at the fresh revision.
       DocumentSession fresh = DocumentSession::open(
-          config_.password, *server_cipher, config_.rng_factory);
-      const std::string server_plain = fresh.plaintext();
-      // The other writers' net effect relative to our base, and our edit
-      // transformed to apply after it (they committed first, they win
-      // insert ties).
-      const delta::Delta theirs = delta::myers_diff(base, server_plain);
-      working = delta::Delta::transform(working, theirs, /*a_wins=*/false);
+          config_.password, *rejection.get("contentFromServer"),
+          config_.rng_factory);
+      std::string server_plain = fresh.plaintext();
+      u.plain = delta::Delta::transform(
+          u.plain, delta::myers_diff(u.base_plain, server_plain),
+          /*a_wins=*/false);
+      u.cipher = fresh.transform_delta(u.plain);
       sessions_.erase(doc_id);
       sessions_.emplace(doc_id, std::move(fresh));
-      base = server_plain;
-      form.set("rev", *server_rev);
+      u.base_plain = std::move(server_plain);
+      u.form.set("delta", u.cipher.to_wire());
+      u.form.set("rev", *rejection.get("rev"));
+      // Offline mode re-substitutes the rev field from server_rev_.
       if (config_.offline.enabled) {
-        // Keep the CAS base honest: the next iteration re-substitutes the
-        // rev field from this map.
-        server_rev_[doc_id] = parse_rev(server_rev);
+        server_rev_[doc_id] = parse_rev(rejection.get("rev"));
       }
+      if (rejection.contains("conflict")) ++counters_.rebases;
       rebased = true;
-      if (!chain_retry) ++counters_.rebases;
-    }
-    if (auditor != nullptr && auditor->has_staged()) {
-      if (resp.ok()) {
-        auditor->commit_staged();
-        ++counters_.audit_links_committed;
-        maybe_publish_witness(doc_id, request.target, *auditor);
-      } else {
-        auditor->drop_staged();
-      }
-    }
+      return true;
+    };
+    net::HttpResponse resp = send_update(doc_id, request.target, u);
     ++counters_.deltas_transformed;
-    if (config_.offline.enabled && resp.ok()) {
-      const bool drifted = editor_rev_[doc_id] != server_rev_[doc_id];
-      server_rev_[doc_id] = parse_rev(FormData::parse(resp.body).get("rev"));
-      if (drifted) {
-        rewrite_ack_rev(resp, ++editor_rev_[doc_id]);
-      } else {
-        editor_rev_[doc_id] = server_rev_[doc_id];
-      }
-    }
-
     if (resp.ok() && rebased) {
       // Tell the client about the merged state in terms it can verify:
       // plaintext content plus a matching hash. It adopts both.
-      const std::string merged =
-          sessions_.find(doc_id)->second.plaintext();
+      const std::string merged = sessions_.find(doc_id)->second.plaintext();
       FormData ack = FormData::parse(resp.body);
       ack.set("contentFromServer", merged);
       ack.set("contentFromServerHash", content_hash16(merged));

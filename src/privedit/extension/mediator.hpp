@@ -19,12 +19,14 @@
 //                 the simulated clock)
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 
+#include "privedit/delta/delta.hpp"
 #include "privedit/enc/types.hpp"
 #include "privedit/extension/audit.hpp"
 #include "privedit/extension/journal.hpp"
@@ -45,18 +47,16 @@ struct MediatorConfig {
   std::size_t pad_bucket = 0;          // 0 = off; else bytes
   std::uint64_t random_delay_us = 0;   // 0 = off; else uniform [0, max]
 
-  /// Differential full saves (DESIGN.md §15): when the upstream advertises
-  /// X-Privedit-BDelta, a docContents save is rewritten as a block delta
-  /// against the container the server already holds. The new container is
-  /// derived *incrementally* (transform of the plaintext diff) rather than
-  /// re-encrypted from scratch, so unedited blocks stay byte-identical and
-  /// the delta stays small; a 412 from the server (its copy is not what we
-  /// thought) falls back to the plain full save. Off by default: the save
-  /// path then behaves exactly as before this option existed. Note the
-  /// trade-off the paper's §VI-B mitigations care about: a delta-sized
-  /// message leaks more about the edit than a constant-size full save —
-  /// combine with pad_bucket when that matters.
-  bool block_delta_saves = false;
+  /// Differential full saves (DESIGN.md §15): a docContents save is sent
+  /// as the paper's cdelta (§IV-B) — the new container is derived
+  /// incrementally from the plaintext diff, so unedited blocks stay
+  /// byte-identical — anchored on the container the mirror held before the
+  /// edit (`delta=…&dbase=<size>:<crc32>`). A 412 from the server (its copy
+  /// is not what we thought) falls back to the plain full save. Off by
+  /// default. Note the trade-off the paper's §VI-B mitigations care about:
+  /// a delta-sized message leaks more about the edit than a constant-size
+  /// full save — combine with pad_bucket when that matters.
+  bool delta_full_saves = false;
 
   /// Collaborative editing through the untrusted server — the capability
   /// §VII-A reports as broken and defers to SPORC. Requires the server's
@@ -128,13 +128,11 @@ class GDocsMediator final : public net::Channel {
     std::size_t passthrough_unmanaged = 0;
     std::size_t rebases = 0;  // collaborative conflict rebases performed
 
-    // Differential full saves (all zero unless block_delta_saves).
-    std::size_t bdelta_saves = 0;      // saves accepted as block deltas
-    std::size_t bdelta_fallbacks = 0;  // 412 → resent as plain full save
-    std::size_t bdelta_bytes = 0;      // block-delta wire bytes sent
-    std::size_t full_save_bytes = 0;   // full-container bytes sent
-    std::size_t bdelta_renegotiations = 0;  // capability latch cleared after
-                                            // a streak of 412 fallbacks
+    // Differential full saves (all zero unless delta_full_saves).
+    std::size_t delta_full_saves = 0;           // anchored cdelta saves acked
+    std::size_t delta_full_save_fallbacks = 0;  // 412 → resent as docContents
+    std::size_t delta_full_save_bytes = 0;      // anchored cdelta bytes sent
+    std::size_t full_save_bytes = 0;            // full-container bytes sent
 
     // Fork-consistency audit (all zero unless audit).
     std::size_t audit_links_committed = 0;  // chain links acked or resolved
@@ -203,9 +201,6 @@ class GDocsMediator final : public net::Channel {
   /// locally instead of hammered.
   net::HttpResponse send_upstream(const net::HttpRequest& request);
 
-  /// The document's offline queue; nullptr unless offline.enabled.
-  OfflineQueue* offline_queue(const std::string& doc_id);
-
   /// Replaces the journal's pending entry with the current composed
   /// offline update (at most one offline entry is ever pending).
   void journal_offline_entry(const std::string& doc_id, const OfflineQueue& q);
@@ -225,6 +220,40 @@ class GDocsMediator final : public net::Channel {
   /// ack on 2xx (recording the new revision), drop on a clean rejection.
   void settle_journal(EditJournal& journal, const net::HttpResponse& resp,
                       std::uint64_t base_rev, const std::string& checksum);
+
+  /// One outgoing save. The verbs — full save, delta save, offline flush —
+  /// build it and say how to rebuild it after a rejection; send_update
+  /// does everything else.
+  struct Update {
+    FormData form;           // wire form; send_update fills rev and alink
+    bool full_save = false;  // carries (or anchors) a whole container
+    bool flush = false;      // replay of the composed offline update
+    std::string container;   // post-update container (deltas: lazily)
+    std::string base_plain;  // pre-edit plaintext (collaborative/offline)
+    delta::Delta plain;      // delta saves: the edit and its cdelta, as the
+    delta::Delta cipher;     // offline queue composes them
+    /// Re-targets the update at a chain 412's or 409's content and rev;
+    /// false ends the loop. Unset: resend unchanged under a fresh link.
+    std::function<bool(const FormData& rejection)> rebuild;
+  };
+
+  /// The one save path: substitutes the offline-mode revision, stages the
+  /// audit link, appends to the journal, sends, flips the document offline
+  /// on a transport failure, rebuilds after a chain 412 or a 409, falls
+  /// back to docContents after an anchor 412, settles the journal and the
+  /// link, and keeps the editor/server revision books.
+  net::HttpResponse send_update(const std::string& doc_id,
+                                const std::string& target, Update& u);
+
+  /// Stages the chain link committing `rev` to the container with CRC
+  /// `crc` and attaches it, with the head it extends, to `form`. A `crc`
+  /// of 0 (container unknown) reuses a link already staged for `rev`.
+  void stage_link(DocumentAuditor& auditor, FormData& form, std::uint64_t rev,
+                  std::uint32_t crc);
+
+  /// Commits the staged link after an ack (returns true), or drops it
+  /// after a clean rejection.
+  bool settle_link(DocumentAuditor* auditor, bool acked);
 
   /// Lazily constructs the document's auditor; nullptr when audit is off.
   /// The committed-head log lives next to the journal when journal_dir is
@@ -269,10 +298,7 @@ class GDocsMediator final : public net::Channel {
   std::map<std::string, OfflineQueue> offline_;
   std::map<std::string, std::uint64_t> server_rev_;  // truth from acks/opens
   std::map<std::string, std::uint64_t> editor_rev_;  // what the editor saw
-  bool upstream_bdelta_ = false;  // upstream sent X-Privedit-BDelta: 1
-  std::size_t bdelta_fallback_streak_ = 0;  // consecutive 412 fallbacks
   std::map<std::string, std::unique_ptr<DocumentAuditor>> auditors_;
-  int audit_retry_depth_ = 0;  // bounds chain-412 re-stage recursion
   Counters counters_;
 };
 

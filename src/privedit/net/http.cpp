@@ -36,6 +36,8 @@ std::string reason_for(int status) {
       return "Not Found";
     case 409:
       return "Conflict";
+    case 412:
+      return "Precondition Failed";
     case 500:
       return "Internal Server Error";
     default:

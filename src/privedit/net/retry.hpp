@@ -26,7 +26,8 @@
 // the server may already have applied the request; retrying is only safe
 // for idempotent traffic (full saves, opens, reads). `retry_truncated`
 // gates that class and defaults to on, matching the simulated services —
-// full docContents saves are idempotent and delta saves carry a base
+// full docContents saves are idempotent, anchored delta saves are refused
+// (412) once their base container moved, and delta saves carry a base
 // revision the server reconciles (strict-revision mode rejects stale
 // resends outright, making them safe).
 

@@ -60,7 +60,7 @@ std::string SimConfig::to_wire() const {
   out += ",cap=" + std::to_string(max_doc_chars);
   out += ",journal=" + std::to_string(journal ? 1 : 0);
   out += ",persist=" + std::to_string(persist ? 1 : 0);
-  out += ",bd=" + std::to_string(bdelta ? 1 : 0);
+  out += ",bd=" + std::to_string(delta_saves ? 1 : 0);
   out += ",audit=" + std::to_string(audit ? 1 : 0);
   out += ",retry=" + std::to_string(retry ? 1 : 0);
   out += ",drop=" + std::to_string(permille(faults.drop));
@@ -130,7 +130,7 @@ SimConfig SimConfig::parse(std::string_view wire) {
     } else if (key == "persist") {
       config.persist = parse_u64(value, "persist flag") != 0;
     } else if (key == "bd") {
-      config.bdelta = parse_u64(value, "bdelta flag") != 0;
+      config.delta_saves = parse_u64(value, "delta-saves flag") != 0;
     } else if (key == "audit") {
       config.audit = parse_u64(value, "audit flag") != 0;
     } else if (key == "retry") {

@@ -75,7 +75,7 @@ struct SimConfig {
 
   bool journal = false;  // client write-ahead journal (needs work_dir)
   bool persist = false;  // provider FileStore persistence (needs work_dir)
-  bool bdelta = false;   // differential full saves (block-delta wire form)
+  bool delta_saves = false;  // full saves as anchored cdeltas (tag "bd")
   bool audit = false;    // fork-consistency audit chain + witness exchange
 
   /// Sharded topology: when > 1, the mediator talks to a ShardRouter over
@@ -150,11 +150,11 @@ struct SimReport {
     std::size_t transport_errors = 0;
     std::size_t deep_verifies = 0;
 
-    // Differential full saves (bdelta=1 runs; copied from the mediator).
-    std::size_t bdelta_saves = 0;      // saves accepted as block deltas
-    std::size_t bdelta_fallbacks = 0;  // 412 → plain full-save resends
-    std::size_t bdelta_bytes = 0;      // block-delta wire bytes sent
-    std::size_t full_save_bytes = 0;   // full-container bytes sent
+    // Differential full saves (bd=1 runs; copied from the mediator).
+    std::size_t delta_full_saves = 0;           // anchored cdelta saves acked
+    std::size_t delta_full_save_fallbacks = 0;  // 412 → docContents resends
+    std::size_t delta_full_save_bytes = 0;      // anchored cdelta bytes sent
+    std::size_t full_save_bytes = 0;            // full-container bytes sent
 
     // Malicious-server adversary (audit=1 runs). Injected counts must
     // equal detected counts at quiesce — zero silent forks.

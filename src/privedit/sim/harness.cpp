@@ -129,7 +129,7 @@ class Runner {
     if (rep_.ok && cfg_.audit) audit_quiesce_check();
     if (rep_.ok && cfg_.persist && !sharded()) store_quiesce_check();
     if (rep_.ok && sharded()) shard_equiv_check("quiesce");
-    if (rep_.ok && cfg_.bdelta) bdelta_quiesce_check();
+    if (rep_.ok && cfg_.delta_saves) delta_quiesce_check();
     collect_resilience_cov();
     rep_.final_doc_chars = model_.size();
     rep_.final_rev = rev_;
@@ -264,7 +264,7 @@ class Runner {
     if (cfg_.journal) {
       mc.journal_dir = (fs::path(cfg_.work_dir) / "journal").string();
     }
-    mc.block_delta_saves = cfg_.bdelta;
+    mc.delta_full_saves = cfg_.delta_saves;
     if (cfg_.audit) {
       mc.audit = true;
       mc.client_id = "A";  // client B is driven by the harness directly
@@ -604,13 +604,12 @@ class Runner {
 
   void exec_edit(const SimOp& op) {
     const Splice s = make_splice(op);
-    if (cfg_.bdelta && op.arg % 2 == 0) {
-      // bdelta runs route half the splices through the docContents path —
+    if (cfg_.delta_saves && op.arg % 2 == 0) {
+      // bd=1 runs route half the splices through the docContents path —
       // "autosave ships the whole document after a small edit", the traffic
-      // shape differential saves exist to compress (a whole-document
-      // replace shares no blocks, so kReplaceAll alone never wins the
-      // wire-size gate). The other half stays on the delta path so both
-      // wire forms interleave against the same container anchor.
+      // shape differential saves exist to compress. The other half stays
+      // on the delta path so both wire forms interleave against the same
+      // container anchor.
       std::string after = model_;
       after.replace(s.pos, s.del, s.text);
       exec_full_save(std::move(after));
@@ -792,17 +791,17 @@ class Runner {
     check_model();
   }
 
-  /// End-of-run invariant for bdelta runs: after quiesce the server's raw
+  /// End-of-run invariant for bd=1 runs: after quiesce the server's raw
   /// container must be byte-identical to the mediator's ciphertext mirror.
   /// Differential saves only work because the mirror tracks the server
   /// exactly — any drift here means a delta was applied against bytes the
   /// client no longer agrees with.
-  void bdelta_quiesce_check() {
+  void delta_quiesce_check() {
     if (offline_now()) return;  // server legitimately stale while offline
     const auto raw = raw_doc();
     const auto mirror = mediator_->managed_ciphertext(kDocId);
     if (!raw || !mirror) {
-      fail("bdelta-quiesce", "server or mediator lost the container");
+      fail("delta-quiesce", "server or mediator lost the container");
       return;
     }
     if (*raw != *mirror) {
@@ -811,7 +810,7 @@ class Runner {
              (*raw)[at] == (*mirror)[at]) {
         ++at;
       }
-      fail("bdelta-quiesce",
+      fail("delta-quiesce",
            "stored container (" + std::to_string(raw->size()) +
                " bytes) != mediator ciphertext mirror (" +
                std::to_string(mirror->size()) + " bytes) at byte " +
@@ -822,9 +821,9 @@ class Runner {
   void collect_resilience_cov() {
     if (mediator_ == nullptr) return;
     const auto& mc = mediator_->counters();
-    rep_.cov.bdelta_saves = mc.bdelta_saves;
-    rep_.cov.bdelta_fallbacks = mc.bdelta_fallbacks;
-    rep_.cov.bdelta_bytes = mc.bdelta_bytes;
+    rep_.cov.delta_full_saves = mc.delta_full_saves;
+    rep_.cov.delta_full_save_fallbacks = mc.delta_full_save_fallbacks;
+    rep_.cov.delta_full_save_bytes = mc.delta_full_save_bytes;
     rep_.cov.full_save_bytes = mc.full_save_bytes;
     rep_.cov.offline_entered = mc.offline_entered;
     rep_.cov.offline_acks = mc.offline_acks;

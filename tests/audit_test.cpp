@@ -478,6 +478,77 @@ struct AuditStack {
   std::unique_ptr<GDocsMediator> mediator;
 };
 
+TEST_F(AuditDurabilityTest, FullSaveChainRetriesAreBoundedAndDropTheLink) {
+  // An on-path adversary bumps every save's link revision, so the server
+  // chain-rejects each attempt (412 areason=chain) with honest content and
+  // chain. The full save re-stages and resends twice, then gives up with
+  // the 412 — three counted retries — and leaves no staged link behind,
+  // neither in memory nor in the durable log.
+  cloud::GDocsServer server;
+  net::SimClock clock;
+  bool bump_links = false;
+  std::size_t saves_sent = 0;
+  net::LoopbackTransport transport(
+      [&](net::HttpRequest r) {
+        FormData f = FormData::parse(r.body);
+        if (f.contains("docContents")) ++saves_sent;
+        if (const auto wire = f.get("alink"); wire && bump_links) {
+          enc::AuditLink link = enc::decode_link(*wire);
+          link.rev += 5;
+          f.set("alink", enc::encode_link(link));
+          r.body = f.encode();
+        }
+        return server.handle(r);
+      },
+      &clock, net::LatencyModel{}, crypto::CtrDrbg::from_seed(4400));
+  MediatorConfig c;
+  c.password = "pw";
+  c.scheme.kdf_iterations = 5;
+  c.rng_factory = seeded_rng_factory(4401);
+  c.client_id = "A";
+  c.audit = true;
+  c.journal_dir = base_;
+  GDocsMediator mediator(&transport, std::move(c), &clock);
+  client::GDocsClient writer(&mediator, "doc");
+  writer.create();
+  writer.insert(0, "chained payload");
+  ASSERT_TRUE(writer.save());
+  ASSERT_EQ(mediator.counters().audit_links_committed, 1u);
+
+  bump_links = true;
+  saves_sent = 0;
+  FormData save;
+  save.add("session", "1");
+  save.add("rev", "1");
+  save.add("docContents", "chained payload, edited");
+  const net::HttpResponse resp = mediator.round_trip(
+      net::HttpRequest::post_form("/Doc?docID=doc", save.encode()));
+  EXPECT_EQ(resp.status, 412);
+  EXPECT_EQ(saves_sent, 3u);
+  EXPECT_EQ(mediator.counters().audit_chain_retries, 3u);
+  EXPECT_EQ(mediator.counters().audit_links_committed, 1u);
+  EXPECT_EQ(server.table().find("doc")->rev, 1u);
+  {
+    DocumentAuditor reloaded(enc::derive_audit_key("pw", "doc"), "doc", "A",
+                             base_ + "/" + hex_encode(as_bytes("doc")) +
+                                 ".achain");
+    EXPECT_FALSE(reloaded.has_staged());
+    EXPECT_EQ(reloaded.committed_rev(), 1u);
+  }
+
+  // The adversary steps aside: the next save extends the chain cleanly.
+  bump_links = false;
+  save.set("docContents", "chained payload, edited again");
+  EXPECT_TRUE(mediator
+                  .round_trip(net::HttpRequest::post_form("/Doc?docID=doc",
+                                                          save.encode()))
+                  .ok());
+  EXPECT_EQ(mediator.counters().audit_links_committed, 2u);
+  client::GDocsClient reader(&mediator, "doc");
+  reader.open();
+  EXPECT_EQ(reader.text(), "chained payload, edited again");
+}
+
 TEST_F(AuditDurabilityTest, MediatorRaisesRollbackErrorOnReplayedHistory) {
   AuditStack stack(base_, 4200);
   client::GDocsClient writer(stack.mediator.get(), "doc");

@@ -6,6 +6,10 @@
 #include "privedit/cloud/file_servers.hpp"
 #include "privedit/cloud/gdocs_server.hpp"
 #include "privedit/cloud/xml.hpp"
+#include "privedit/delta/block_diff.hpp"
+#include "privedit/delta/delta.hpp"
+#include "privedit/enc/audit_record.hpp"
+#include "privedit/enc/block_wire.hpp"
 #include "privedit/util/error.hpp"
 #include "privedit/util/urlencode.hpp"
 
@@ -124,6 +128,127 @@ TEST(GDocsServer, AckCarriesHashAlwaysContentOnlyWhenStale) {
   const FormData conflict_ack = form_of(conflict_resp);
   EXPECT_EQ(conflict_ack.get("contentFromServer"), "pxyz");
   EXPECT_EQ(conflict_ack.get("conflict"), "1");
+}
+
+// Anchored cdelta saves: `delta=…&dbase=<size>:<crc32>` is a full-state
+// save that applies only to the exact container the anchor names.
+
+FormData anchored_save(const std::string& rev, const std::string& delta_wire,
+                       const std::string& base) {
+  FormData f;
+  f.add("session", "1");
+  f.add("rev", rev);
+  f.add("delta", delta_wire);
+  f.add("dbase", delta::base_anchor(base));
+  return f;
+}
+
+enc::AuditLink test_link(std::uint64_t rev) {
+  enc::AuditLink link;
+  link.rev = rev;
+  link.crc = 0x1234u;
+  link.client = "A";
+  link.head = Bytes(32, static_cast<std::uint8_t>(rev));
+  return link;
+}
+
+TEST(GDocsServer, AnchorMismatchIs412AndMutatesNothing) {
+  GDocsServer server;
+  FormData create;
+  create.add("cmd", "create");
+  create.add("abase", std::string(64, 'a'));  // roots the audit chain
+  server.handle(doc_post("d", create));
+  FormData save;
+  save.add("session", "1");
+  save.add("rev", "0");
+  save.add("docContents", "abcdefg");
+  save.add("alink", enc::encode_link(test_link(1)));
+  ASSERT_TRUE(server.handle(doc_post("d", save)).ok());
+  const std::string chain = server.table().find("d")->audit_chain;
+  ASSERT_FALSE(chain.empty());
+  const std::size_t history = server.history("d").size();
+
+  FormData wrong = anchored_save("1", "=2\t+X", "abcdefX");
+  wrong.add("alink", enc::encode_link(test_link(2)));
+  const auto resp = server.handle(doc_post("d", wrong));
+  EXPECT_EQ(resp.status, 412);
+  EXPECT_EQ(form_of(resp).get("rev"), "1");
+  EXPECT_TRUE(form_of(resp).contains("contentFromServerHash"));
+  EXPECT_FALSE(form_of(resp).contains("areason"));
+  EXPECT_EQ(server.counters().anchor_mismatches, 1u);
+  EXPECT_EQ(server.raw_content("d"), "abcdefg");
+  EXPECT_EQ(server.table().find("d")->rev, 1u);
+  EXPECT_EQ(server.history("d").size(), history);
+  EXPECT_EQ(server.table().find("d")->audit_chain, chain);
+
+  // The matching anchor applies the same delta as a full-state save.
+  FormData right = anchored_save("1", "=2\t+X", "abcdefg");
+  right.add("alink", enc::encode_link(test_link(2)));
+  ASSERT_TRUE(server.handle(doc_post("d", right)).ok());
+  EXPECT_EQ(server.raw_content("d"), "abXcdefg");
+  EXPECT_EQ(server.table().find("d")->rev, 2u);
+  EXPECT_EQ(server.counters().full_saves, 2u);
+  EXPECT_EQ(server.counters().delta_saves, 0u);
+  EXPECT_EQ(enc::decode_chain(server.table().find("d")->audit_chain).tip_rev(),
+            2u);
+}
+
+TEST(GDocsServer, AnchoredSaveOnStaleRevisionAppliesUnderStrictMode) {
+  GDocsServer server;
+  server.set_strict_revisions(true);
+  FormData create;
+  create.add("cmd", "create");
+  server.handle(doc_post("d", create));
+  FormData save;
+  save.add("session", "1");
+  save.add("rev", "0");
+  save.add("docContents", "hello");
+  server.handle(doc_post("d", save));
+  FormData keystroke;
+  keystroke.add("session", "2");
+  keystroke.add("rev", "1");
+  keystroke.add("delta", "=5\t+!");
+  ASSERT_TRUE(server.handle(doc_post("d", keystroke)).ok());
+
+  // An unanchored delta at the stale rev is a conflict...
+  keystroke.set("delta", "+>");
+  EXPECT_EQ(server.handle(doc_post("d", keystroke)).status, 409);
+  EXPECT_EQ(server.counters().conflicts, 1u);
+  // ...but the anchor, not the revision, gates an anchored one: it applies
+  // as a full save, flagged stale the way docContents is (content rides
+  // the ack), with no conflict.
+  const auto resp =
+      server.handle(doc_post("d", anchored_save("1", "=6\t+?", "hello!")));
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(server.raw_content("d"), "hello!?");
+  EXPECT_EQ(form_of(resp).get("rev"), "3");
+  EXPECT_EQ(form_of(resp).get("contentFromServer"), "hello!?");
+  EXPECT_FALSE(form_of(resp).contains("conflict"));
+  EXPECT_EQ(server.counters().conflicts, 1u);
+}
+
+TEST(GDocsServer, LegacyBlockDeltaSaveIsUnrecognised) {
+  GDocsServer server;
+  FormData create;
+  create.add("cmd", "create");
+  server.handle(doc_post("d", create));
+  FormData save;
+  save.add("session", "1");
+  save.add("rev", "0");
+  save.add("docContents", "hello world");
+  server.handle(doc_post("d", save));
+  const std::size_t history = server.history("d").size();
+
+  FormData legacy;
+  legacy.add("session", "1");
+  legacy.add("rev", "1");
+  legacy.add("bdelta", enc::block_delta_to_wire(
+                           delta::block_diff("hello world", "hello World")));
+  const auto resp = server.handle(doc_post("d", legacy));
+  EXPECT_EQ(resp.status, 400);
+  EXPECT_EQ(server.raw_content("d"), "hello world");
+  EXPECT_EQ(server.table().find("d")->rev, 1u);
+  EXPECT_EQ(server.history("d").size(), history);
 }
 
 TEST(GDocsServer, SpellcheckFindsUnknownWords) {

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "privedit/client/gdocs_client.hpp"
 #include "privedit/cloud/gdocs_server.hpp"
 #include "privedit/crypto/ctr_drbg.hpp"
 #include "privedit/extension/mediator.hpp"
+#include "privedit/net/admission.hpp"
 #include "privedit/util/error.hpp"
 #include "privedit/util/urlencode.hpp"
 
@@ -195,12 +198,48 @@ TEST(MediatorBranches, RediffHandlesMultiRegionDeltas) {
   EXPECT_EQ(reader.text(), c.text());
 }
 
+TEST(MediatorBranches, UnmanagedSaveCarriesClientId) {
+  // Saves to a legacy plaintext document pass through unencrypted, but
+  // still through the mediator's one upstream path: the server must see
+  // the client id (tenant billing, admission buckets) on them too.
+  cloud::GDocsServer server;
+  net::SimClock clock;
+  std::vector<std::string> save_clients;
+  net::LoopbackTransport transport(
+      [&](const net::HttpRequest& r) {
+        const FormData f = FormData::parse(r.body);
+        if (f.contains("docContents") || f.contains("delta")) {
+          save_clients.push_back(
+              r.headers.get(net::kClientIdHeader).value_or("<none>"));
+        }
+        return server.handle(r);
+      },
+      &clock, net::LatencyModel{}, crypto::CtrDrbg::from_seed(602));
+  MediatorConfig config = Stack::base_config();
+  config.client_id = "alice";
+  GDocsMediator mediator(&transport, std::move(config), &clock);
+
+  client::GDocsClient direct(&transport, "plain");  // no extension
+  direct.create();
+  direct.insert(0, "legacy text");
+  direct.save();
+  save_clients.clear();
+
+  client::GDocsClient user(&mediator, "plain");
+  user.open();
+  user.insert(0, "still ");
+  ASSERT_TRUE(user.save());
+  EXPECT_EQ(server.raw_content("plain"), "still legacy text");
+  ASSERT_EQ(save_clients.size(), 1u);
+  EXPECT_EQ(save_clients[0], "alice");
+}
+
 // ------------------------------------------- differential full saves --
 
-static MediatorConfig bdelta_config() {
+static MediatorConfig delta_saves_config() {
   MediatorConfig c = Stack::base_config();
   c.scheme.mode = enc::Mode::kRpc;
-  c.block_delta_saves = true;
+  c.delta_full_saves = true;
   return c;
 }
 
@@ -220,29 +259,43 @@ static net::HttpResponse post_full_save(GDocsMediator& mediator,
 }
 
 TEST(MediatorBDelta, FullSaveAfterSmallEditRidesBlockDelta) {
-  Stack stack(bdelta_config());
+  Stack stack(delta_saves_config());
   client::GDocsClient c(stack.mediator.get(), "d");
   c.create();
   c.insert(0, std::string(4000, 'a'));
-  c.save();  // shares no blocks with the empty container: plain full save
-  EXPECT_EQ(stack.mediator->counters().bdelta_saves, 0u);
+  c.save();  // shares nothing with the empty container: plain full save
+  EXPECT_EQ(stack.mediator->counters().delta_full_saves, 0u);
 
   // The whole document POSTed again with one character changed: the
-  // mediator must rewrite it as a block delta against its mirror.
+  // mediator must send it as the cdelta anchored on its mirror.
   std::string text = c.text();
   text[100] = 'x';
+  stack.transport->enable_tap(true);
   EXPECT_TRUE(post_full_save(*stack.mediator, "d", text, 1).ok());
   const auto counters = stack.mediator->counters();
-  EXPECT_EQ(counters.bdelta_saves, 1u);
-  EXPECT_EQ(counters.bdelta_fallbacks, 0u);
-  EXPECT_GT(counters.bdelta_bytes, 0u);
-  // The delta wire is a small fraction of the container it replaced.
+  EXPECT_EQ(counters.delta_full_saves, 1u);
+  EXPECT_EQ(counters.delta_full_save_fallbacks, 0u);
+  EXPECT_GT(counters.delta_full_save_bytes, 0u);
+  EXPECT_EQ(stack.server.counters().full_saves, 2u);
+  EXPECT_EQ(stack.server.counters().delta_saves, 0u);
+  // The delta wire is a small fraction of the container it replaced, and
+  // the whole request carries no docContents.
   const auto mirror = stack.mediator->managed_ciphertext("d");
   ASSERT_TRUE(mirror.has_value());
-  EXPECT_LT(counters.bdelta_bytes * 4, mirror->size());
+  EXPECT_LT(counters.delta_full_save_bytes * 4, mirror->size());
+  bool saw_save = false;
+  for (const std::string& frame : stack.transport->tap()) {
+    if (frame.rfind("POST", 0) != 0) continue;
+    const FormData f = FormData::parse(net::HttpRequest::parse(frame).body);
+    if (!f.contains("dbase")) continue;
+    saw_save = true;
+    EXPECT_FALSE(f.contains("docContents"));
+    EXPECT_LT(f.get("delta")->size() * 4, mirror->size());
+  }
+  EXPECT_TRUE(saw_save);
   // Server and mirror agree byte for byte, and a cold reader decrypts it.
   EXPECT_EQ(stack.server.raw_content("d"), mirror);
-  GDocsMediator mediator2(stack.transport.get(), bdelta_config(),
+  GDocsMediator mediator2(stack.transport.get(), delta_saves_config(),
                           &stack.clock);
   client::GDocsClient reader(&mediator2, "d");
   reader.open();
@@ -250,14 +303,14 @@ TEST(MediatorBDelta, FullSaveAfterSmallEditRidesBlockDelta) {
 }
 
 TEST(MediatorBDelta, DivergedServerGets412ThenFullSaveFallback) {
-  Stack stack(bdelta_config());
+  Stack stack(delta_saves_config());
   client::GDocsClient c(stack.mediator.get(), "d");
   c.create();
   c.insert(0, std::string(4000, 'b'));
   c.save();
 
   // Vandalise the server copy AFTER the mediator mirrored it: the next
-  // block delta anchors on a container the server no longer holds.
+  // cdelta anchors on a container the server no longer holds.
   std::string bad = *stack.server.raw_content("d");
   bad[bad.size() / 2] ^= 0x01;
   stack.server.set_raw_content("d", bad);
@@ -266,9 +319,9 @@ TEST(MediatorBDelta, DivergedServerGets412ThenFullSaveFallback) {
   text[100] = 'y';
   EXPECT_TRUE(post_full_save(*stack.mediator, "d", text, 1).ok());
   const auto counters = stack.mediator->counters();
-  EXPECT_EQ(counters.bdelta_fallbacks, 1u);
-  EXPECT_EQ(counters.bdelta_saves, 0u);
-  EXPECT_GE(stack.server.counters().bdelta_mismatches, 1u);
+  EXPECT_EQ(counters.delta_full_save_fallbacks, 1u);
+  EXPECT_EQ(counters.delta_full_saves, 0u);
+  EXPECT_GE(stack.server.counters().anchor_mismatches, 1u);
   // The fallback full save is always correct: the rot is overwritten and
   // both sides agree again.
   EXPECT_EQ(stack.server.raw_content("d"),

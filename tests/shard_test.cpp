@@ -804,10 +804,10 @@ TEST(ShardRouterTest, MediatedEditingThroughTheRouterBillsTheTenant) {
             "the secret plaintext");
 }
 
-// Block-delta saves racing a migration: a bdelta save in flight when the
-// document's shard starts draining must hit the handoff fence (503) and
-// land EXACTLY ONCE after the router reconciles — never zero times (lost
-// write) and never twice (the fenced attempt plus its replay).
+// Anchored cdelta saves racing a migration: a delta full save in flight
+// when the document's shard starts draining must hit the handoff fence
+// (503) and land EXACTLY ONCE after the router reconciles — never zero
+// times (lost write) and never twice (the fenced attempt plus its replay).
 TEST(ShardRouterTest, BlockDeltaSaveAcrossDrainLandsExactlyOnce) {
   TempDir tmp("bdeltamig");
   ShardRouterConfig cfg;
@@ -825,7 +825,7 @@ TEST(ShardRouterTest, BlockDeltaSaveAcrossDrainLandsExactlyOnce) {
   mc.rng_factory = extension::seeded_rng_factory(92);
   mc.client_id = "alice";
   mc.journal_dir = (tmp.path / "journal").string();
-  mc.block_delta_saves = true;
+  mc.delta_full_saves = true;
   extension::GDocsMediator mediator(&transport, std::move(mc), &clock);
 
   const std::string target = "/Doc?docID=migdoc";
@@ -844,10 +844,10 @@ TEST(ShardRouterTest, BlockDeltaSaveAcrossDrainLandsExactlyOnce) {
                                                           create.encode()))
                   .ok());
   const std::string base = std::string(600, 'a') + " stable tail";
-  ASSERT_TRUE(med_save(0, base).ok());  // plain full; ack latches bdelta
+  ASSERT_TRUE(med_save(0, base).ok());  // plain full: nothing to anchor on
   ASSERT_TRUE(med_save(1, "v2 " + base).ok());
-  EXPECT_GE(mediator.counters().bdelta_saves, 1u)
-      << "the capability latch should make the second save differential";
+  EXPECT_GE(mediator.counters().delta_full_saves, 1u)
+      << "the second save should ride the anchored cdelta";
 
   const std::string owner = router->shard_for("migdoc");
   const std::uint64_t rev_before =
@@ -872,7 +872,7 @@ TEST(ShardRouterTest, BlockDeltaSaveAcrossDrainLandsExactlyOnce) {
   router = std::make_unique<ShardRouter>(shard_ids(3), cfg);
   ASSERT_EQ(router->holders("migdoc").size(), 1u);
 
-  // The retry lands exactly once. Its block-delta anchor (the mediator's
+  // The retry lands exactly once. Its cdelta anchor (the mediator's
   // ciphertext mirror) ran ahead during the fenced attempt, so the server
   // answers 412 and the documented fallback resends the plain full save —
   // the fence must degrade the encoding, never duplicate the write.

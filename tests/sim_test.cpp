@@ -86,9 +86,11 @@ void print_coverage(const char* tag, const sim::SimReport& rep) {
             << c.store_rots_injected << " xport=" << c.transport_errors
             << " final_chars=" << rep.final_doc_chars
             << " final_rev=" << rep.final_rev;
-  if (c.bdelta_saves + c.bdelta_fallbacks > 0) {
-    std::cout << " bdelta=" << c.bdelta_saves << "(+" << c.bdelta_fallbacks
-              << " fb) bytes=" << c.bdelta_bytes << "/" << c.full_save_bytes;
+  if (c.delta_full_saves + c.delta_full_save_fallbacks > 0) {
+    std::cout << " dsaves=" << c.delta_full_saves << "(+"
+              << c.delta_full_save_fallbacks
+              << " fb) bytes=" << c.delta_full_save_bytes << "/"
+              << c.full_save_bytes;
   }
   if (c.audit_links_committed > 0) {
     std::cout << " links=" << c.audit_links_committed
@@ -428,8 +430,8 @@ TEST(SimSharded, ShardsRequirePersistence) {
 // ---------------------------------------------------------- delta wire --
 
 TEST(SimBlockDelta, DifferentialSavesConvergeByteIdentically) {
-  // The delta-wire phase (DESIGN.md §15): full saves travel as block
-  // deltas against the container the server already holds. The generator
+  // The delta-wire phase (DESIGN.md §15): full saves travel as cdeltas
+  // anchored on the container the server already holds. The generator
   // is skewed toward whole-document replaces so the differential path
   // fires often; at quiesce the harness requires the server's raw
   // container to be *byte-identical* to the mediator's ciphertext mirror
@@ -439,16 +441,16 @@ TEST(SimBlockDelta, DifferentialSavesConvergeByteIdentically) {
   cfg.block_chars = 4;
   cfg.seed = 601;
   cfg.ops = 2'000 * iter_scale();
-  cfg.bdelta = true;
+  cfg.delta_saves = true;
   cfg.weights.replace_all = 6;  // boost the full-save (docContents) path
   cfg.deep_verify_every = 128;
   const sim::SimReport rep = sim::run_sim(cfg);
   expect_ok(rep);
-  print_coverage("bdelta", rep);
-  EXPECT_GT(rep.cov.bdelta_saves, 10u)
+  print_coverage("delta-saves", rep);
+  EXPECT_GT(rep.cov.delta_full_saves, 10u)
       << "the capability negotiated but no save travelled as a delta";
-  EXPECT_GT(rep.cov.bdelta_bytes, 0u);
-  EXPECT_EQ(rep.cov.bdelta_fallbacks, 0u)
+  EXPECT_GT(rep.cov.delta_full_save_bytes, 0u);
+  EXPECT_EQ(rep.cov.delta_full_save_fallbacks, 0u)
       << "a fault-free run should never need the 412 full-save fallback";
 }
 
@@ -458,13 +460,13 @@ TEST(SimBlockDelta, DeltaSavesWithJournalAndAdversary) {
   // byte-identity quiesce invariant must survive the heals (a heal pushes
   // full bytes over cmd=sync, which must resynchronise the delta anchor).
   for (const std::uint64_t seed : {611u, 612u, 613u}) {
-    TempDir tmp("bdelta-" + std::to_string(seed));
+    TempDir tmp("dsaves-" + std::to_string(seed));
     sim::SimConfig cfg;
     cfg.mode = enc::Mode::kRpc;
     cfg.block_chars = 4;
     cfg.seed = seed;
     cfg.ops = 300;
-    cfg.bdelta = true;
+    cfg.delta_saves = true;
     cfg.journal = true;
     cfg.work_dir = tmp.path.string();
     cfg.weights.replace_all = 4;
@@ -474,7 +476,7 @@ TEST(SimBlockDelta, DeltaSavesWithJournalAndAdversary) {
     const sim::SimReport rep = sim::run_sim(cfg);
     expect_ok(rep);
     EXPECT_EQ(rep.cov.tampers_detected, rep.cov.tampers_injected);
-    EXPECT_GT(rep.cov.bdelta_saves, 0u);
+    EXPECT_GT(rep.cov.delta_full_saves, 0u);
   }
 }
 

@@ -14,7 +14,8 @@
 //   privedit_cli serve    --port P [--shards N] [--data-dir DIR]
 //                         (simulated Google Docs service, sharded front door)
 //   privedit_cli proxy    --port P --upstream-port U --password PW
-//                         [--bdelta 1]   (full saves ride block deltas)
+//                         [--delta-saves 1] (full saves ride anchored
+//                                            cdeltas)
 //   privedit_cli fsck     --stores DIR[,DIR...] [--journal DIR]
 //                         [--password PW] [--repair 0|1]
 //
@@ -253,7 +254,7 @@ int cmd_proxy(const Args& args) {
   extension::MediatorConfig config;
   config.password = args.require("password");
   config.scheme = config_from(args);
-  config.block_delta_saves = args.get("bdelta", "0") != "0";
+  config.delta_full_saves = args.get("delta-saves", "0") != "0";
   extension::MediatingProxy proxy(
       static_cast<std::uint16_t>(std::stoul(args.get("port", "0"))),
       static_cast<std::uint16_t>(std::stoul(args.require("upstream-port"))),
@@ -277,7 +278,8 @@ void usage() {
       "  inspect                                      stdin -> stderr\n"
       "  rotate   --password PW --new-password PW2    stdin -> stdout\n"
       "  serve    [--port P] [--shards N] [--data-dir DIR]\n"
-      "  proxy    --upstream-port U --password PW [--port P] [--bdelta 1]\n"
+      "  proxy    --upstream-port U --password PW [--port P]\n"
+      "           [--delta-saves 1]     full saves ride anchored cdeltas\n"
       "  fsck     --stores DIR[,DIR...] [--journal DIR] [--password PW]\n"
       "           [--repair 0|1]        exit 0 = clean or fully repaired\n");
 }
