@@ -11,7 +11,7 @@
 //                ciphertext mirror.
 //   repair     — anti-entropy push through push_sync_over: a lagging
 //                replica (shares all but the last edit's blocks) heals
-//                over the digest exchange + block delta; a fully divergent
+//                over the digest exchange + anchored delta; a fully divergent
 //                replica exercises the full-container fallback through the
 //                same helper. Reports bytes and ms per repair, both paths,
 //                and FAILs unless both end byte-identical to the donor.

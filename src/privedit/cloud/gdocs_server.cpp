@@ -6,10 +6,8 @@
 #include "privedit/crypto/sha256.hpp"
 #include "privedit/delta/block_diff.hpp"
 #include "privedit/delta/delta.hpp"
-#include "privedit/enc/block_wire.hpp"
 #include "privedit/enc/container.hpp"
 #include "privedit/net/breaker.hpp"
-#include "privedit/util/crc32.hpp"
 #include "privedit/util/error.hpp"
 #include "privedit/util/hex.hpp"
 #include "privedit/util/urlencode.hpp"
@@ -48,6 +46,17 @@ std::string to_lower(std::string_view word) {
     out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
   }
   return out;
+}
+
+/// The anchored-delta apply an anchored save and a delta sync share:
+/// nullopt when `dbase` does not name `base` (the sender's picture of our
+/// copy is wrong); throws Error when the delta is malformed or runs past
+/// the end of `base`.
+std::optional<std::string> apply_anchored(std::string_view base,
+                                          std::string_view wire,
+                                          std::string_view dbase) {
+  if (dbase != delta::base_anchor(base)) return std::nullopt;
+  return delta::Delta::parse(wire).apply(base);
 }
 
 }  // namespace
@@ -289,11 +298,11 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
 
   if (cmd == "sync") {
     if (form.get("digests") == "1") {
-      // Rev-anchored digest probe for differential repair: the pusher
-      // compares our block digests against the donor copy and sends only
-      // the blocks that differ. A quarantined document answers with the
-      // flag alone — its digests describe rot, and quarantine may only be
-      // lifted by a full validated container anyway.
+      // Digest probe for differential repair: the pusher matches our block
+      // digests against the donor copy and sends a delta anchored on the
+      // copy `base` names. A quarantined document answers with the flag
+      // alone — its digests describe rot, and quarantine may only be lifted
+      // by a full validated container anyway.
       ++counters_.sync_probes;
       FormData reply;
       Document* probed = table_.find(*doc_id);
@@ -304,16 +313,13 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
       } else {
         const std::size_t bs = delta::repair_block_size(probed->content.size());
         reply.add("rev", std::to_string(probed->rev));
-        reply.add("size", std::to_string(probed->content.size()));
-        reply.add("crc", std::to_string(crc32(as_bytes(probed->content))));
+        reply.add("base", delta::base_anchor(probed->content));
         reply.add("bs", std::to_string(bs));
-        reply.add("digests", enc::block_digests_to_wire(
+        reply.add("digests", delta::block_digests_to_wire(
                                  delta::block_digests(probed->content, bs)));
       }
-      net::HttpResponse resp = net::HttpResponse::make(
-          200, reply.encode(), "application/x-www-form-urlencoded");
-      resp.headers.set("X-Privedit-BDelta", "1");
-      return resp;
+      return net::HttpResponse::make(200, reply.encode(),
+                                     "application/x-www-form-urlencoded");
     }
 
     // Anti-entropy push from a ReplicatedChannel repair pass: adopt the
@@ -322,35 +328,35 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
     // is untrusted anyway, and integrity is enforced client-side by the
     // crypto (a bogus sync just fails the open validator later).
     std::string pushed;
-    if (const auto bwire = form.get("bdelta")) {
-      // Differential repair push: only the blocks our copy is missing.
-      // Quarantined documents refuse it outright — the only quarantine
-      // exit is a full container that passes validation, and a delta
-      // against rot would just produce differently-arranged rot.
+    if (const auto wire = form.get("delta")) {
+      // Differential repair push, anchored both ends: `dbase` names the
+      // copy it applies to, `dtarget` the result. Quarantined documents
+      // refuse it outright — the only quarantine exit is a full container
+      // that passes validation, and a delta against rot would just produce
+      // differently-arranged rot.
       if (is_quarantined(*doc_id)) {
         ++counters_.quarantine_write_rejections;
         return net::HttpResponse::make(503, "document quarantined");
       }
-      const Document* based = table_.find(*doc_id);
-      if (based == nullptr) {
-        ++counters_.bdelta_mismatches;
-        return net::HttpResponse::make(412, "no base for block delta");
+      std::optional<std::string> next;
+      if (const Document* based = table_.find(*doc_id)) {
+        try {
+          next = apply_anchored(based->content, *wire,
+                                form.get("dbase").value_or(""));
+        } catch (const Error&) {
+        }
       }
-      try {
-        pushed = delta::apply_block_delta(enc::block_delta_from_wire(*bwire),
-                                          based->content);
-      } catch (const ParseError&) {
-        ++counters_.bad_requests;
-        return net::HttpResponse::make(400, "malformed block delta");
-      } catch (const Error&) {
-        // Our copy moved (or rotted) since the probe: 412 tells the pusher
-        // to fall back to a full-content sync.
-        ++counters_.bdelta_mismatches;
-        return net::HttpResponse::make(412, "block delta anchor mismatch");
+      if (!next || form.get("dtarget") != delta::base_anchor(*next)) {
+        // No copy, our copy moved (or rotted) since the probe, or the
+        // result misses the donor's anchor (tampering, digest collision):
+        // 412 tells the pusher to fall back to a full-content sync.
+        ++counters_.anchor_mismatches;
+        return net::HttpResponse::make(412, "delta sync anchor mismatch");
       }
-      ++counters_.bdelta_syncs;
-    } else {
-      pushed = form.get("content").value_or("");
+      pushed = std::move(*next);
+      ++counters_.delta_syncs;
+    } else if (const auto content = form.get("content")) {
+      pushed = *content;
       if (is_quarantined(*doc_id)) {
         // The one exit from quarantine: a repair push whose payload passes
         // container validation. Anything else keeps the 503 wall up, so a
@@ -366,6 +372,10 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
         ++counters_.quarantine_repairs;
         unquarantine(*doc_id);
       }
+    } else {
+      // Neither payload: adopting "" would wipe the copy.
+      ++counters_.bad_requests;
+      return net::HttpResponse::make(400, "sync without content or delta");
     }
     ++counters_.syncs;
     Document& doc = table_.obtain(*doc_id);
@@ -525,22 +535,23 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
     // rebase will fast-forward its auditor off the conflict body's achain
     // and restage against the *new* tip in one step.
     if (alink && alink->rev != doc.rev + 1) return chain_reject(doc);
-    if (dbase && *dbase != delta::base_anchor(doc.content)) {
+    std::optional<std::string> next;
+    try {
+      next = dbase ? apply_anchored(doc.content, *delta_wire, *dbase)
+                   : delta::Delta::parse(*delta_wire).apply(doc.content);
+    } catch (const Error&) {
+      ++counters_.bad_requests;
+      return net::HttpResponse::make(400, "malformed or inapplicable delta");
+    }
+    if (!next) {
       // The client's picture of our container is wrong — lost write,
       // concurrent save, or tampering. 412 with the ack fields (current
       // hash + rev) tells it to resend as a plain docContents save.
       ++counters_.anchor_mismatches;
       return ack(doc, /*include_content=*/false, 412);
     }
-    std::string next;
-    try {
-      next = delta::Delta::parse(*delta_wire).apply(doc.content);
-    } catch (const Error&) {
-      ++counters_.bad_requests;
-      return net::HttpResponse::make(400, "malformed or inapplicable delta");
-    }
     ++(dbase ? counters_.full_saves : counters_.delta_saves);
-    return commit(*doc_id, doc, std::move(next), alink, form, stale,
+    return commit(*doc_id, doc, std::move(*next), alink, form, stale,
                   conflict ? "conflict" : "");
   }
 

@@ -22,13 +22,18 @@
 //     cmd=sync&rev=…&content=…             → replica anti-entropy push:
 //                                            adopt content+rev wholesale
 //                                            (creates the doc if absent)
-//     cmd=sync&digests=1                   → rev-anchored block-digest probe
-//                                            (rev/size/crc/bs/digests) for
-//                                            differential repair; the reply
-//                                            carries X-Privedit-BDelta: 1
-//     cmd=sync&rev=…&bdelta=<wire>         → repair push carrying only the
-//                                            blocks that differ (412 when
-//                                            the anchor no longer matches)
+//     cmd=sync&digests=1                   → block-digest probe for
+//                                            differential repair
+//                                            (rev/base/bs/digests; base is
+//                                            delta::base_anchor of the copy)
+//     cmd=sync&rev=…&delta=<wire>&dbase=<anchor>&dtarget=<anchor>
+//                                          → repair push as the §IV delta,
+//                                            applied like an anchored save
+//                                            (412, nothing changed, when
+//                                            dbase misses our copy or the
+//                                            result misses dtarget); a sync
+//                                            with neither content nor delta
+//                                            is a 400
 //     cmd=delete                           → drops the document and its
 //                                            stored record (quota reclaim)
 //     cmd=witness&w=<witness wire>         → stores a client's signed
@@ -229,10 +234,9 @@ class GDocsServer {
     std::size_t load_quarantined = 0;  // unreadable records found at boot
     std::size_t quarantine_write_rejections = 0;  // 503s on damaged docs
     std::size_t quarantine_repairs = 0;  // validated syncs lifting quarantine
-    std::size_t anchor_mismatches = 0;   // 412s: anchored-delta save base moved
-    std::size_t bdelta_mismatches = 0;   // 412s: repair block delta base moved
+    std::size_t anchor_mismatches = 0;   // 412s: anchored save/sync missed
     std::size_t sync_probes = 0;         // cmd=sync&digests=1 digest reads
-    std::size_t bdelta_syncs = 0;        // repair pushes applied as block deltas
+    std::size_t delta_syncs = 0;         // repair pushes applied as deltas
     std::size_t witness_stores = 0;      // cmd=witness records accepted
     std::size_t chain_rejections = 0;    // 412s: audit link rev mismatch
     std::size_t equivocations_detected = 0;  // sync chains with divergent heads

@@ -1,7 +1,6 @@
 #include "privedit/delta/block_diff.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
 #include "privedit/util/bytes.hpp"
@@ -43,105 +42,25 @@ class RollingSum {
   std::uint32_t len_ = 0;
 };
 
-std::uint32_t weak_sum(std::string_view window) {
-  RollingSum s;
-  s.init(window);
-  return s.value();
-}
-
 void require_block_size(std::size_t block_size) {
   if (block_size == 0) {
     throw Error(ErrorCode::kInvalidArgument, "block diff: block size 0");
   }
 }
 
-/// Appends a copy command, coalescing with a source-contiguous predecessor.
-void emit_copy(BlockDelta& delta, std::uint64_t src_off, std::uint64_t len) {
-  if (len == 0) return;
-  if (!delta.ops.empty()) {
-    BlockOp& last = delta.ops.back();
-    if (last.kind == BlockOp::Kind::kCopy &&
-        last.src_off + last.len == src_off) {
-      last.len += len;
-      return;
-    }
-  }
-  delta.ops.push_back(BlockOp::copy(src_off, len));
-}
-
-void emit_add(BlockDelta& delta, std::string&& literal) {
-  if (literal.empty()) return;
-  delta.ops.push_back(BlockOp::add(std::move(literal)));
-}
-
-/// Shared structural validation for both apply paths: the command tiling
-/// must cover the declared target exactly and read inside the declared
-/// source. Throws ParseError (a malformed delta is wire-shaped data).
-void check_tiling(const BlockDelta& delta) {
-  std::uint64_t produced = 0;
-  for (const BlockOp& op : delta.ops) {
-    if (op.len == 0) throw ParseError("block delta: zero-length command");
-    if (op.kind == BlockOp::Kind::kCopy) {
-      if (op.src_off > delta.source_size ||
-          op.len > delta.source_size - op.src_off) {
-        throw ParseError("block delta: copy outside the source");
-      }
-    } else if (op.literal.size() != op.len) {
-      throw ParseError("block delta: add length/literal mismatch");
-    }
-    if (op.len > delta.target_size - produced) {
-      throw ParseError("block delta: commands overrun the target");
-    }
-    produced += op.len;
-  }
-  if (produced != delta.target_size) {
-    throw ParseError("block delta: commands underrun the target");
-  }
-}
-
-void check_source_anchor(const BlockDelta& delta, std::string_view source) {
-  if (source.size() != delta.source_size ||
-      crc32(as_bytes(source)) != delta.source_crc) {
-    throw Error(ErrorCode::kInvalidArgument,
-                "block delta: source does not match the delta's base");
-  }
-}
-
-void check_target(const BlockDelta& delta, std::string_view result) {
-  if (result.size() != delta.target_size ||
-      crc32(as_bytes(result)) != delta.target_crc) {
-    throw IntegrityError("block delta: reconstruction failed the target CRC");
+void append_hex8(std::string& out, std::uint32_t value) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 28; shift >= 0; shift -= 4) {
+    out += kHex[(value >> shift) & 0xf];
   }
 }
 
 }  // namespace
 
-BlockOp BlockOp::add(std::string s) {
-  BlockOp op;
-  op.kind = Kind::kAdd;
-  op.len = s.size();
-  op.literal = std::move(s);
-  return op;
-}
-
-std::uint64_t BlockDelta::copied_bytes() const {
-  std::uint64_t n = 0;
-  for (const BlockOp& op : ops) {
-    if (op.kind == BlockOp::Kind::kCopy) n += op.len;
-  }
-  return n;
-}
-
-std::uint64_t BlockDelta::added_bytes() const {
-  std::uint64_t n = 0;
-  for (const BlockOp& op : ops) {
-    if (op.kind == BlockOp::Kind::kAdd) n += op.len;
-  }
-  return n;
-}
-
 std::uint64_t block_digest(std::string_view block) {
-  return (static_cast<std::uint64_t>(weak_sum(block)) << 32) |
+  RollingSum weak;
+  weak.init(block);
+  return (static_cast<std::uint64_t>(weak.value()) << 32) |
          crc32(as_bytes(block));
 }
 
@@ -162,258 +81,116 @@ std::size_t repair_block_size(std::size_t content_size) {
   return std::clamp<std::size_t>(content_size / 64, kDefaultBlockSize, 4096);
 }
 
-BlockDelta block_diff(std::string_view source, std::string_view target,
-                      std::size_t block_size) {
+Delta block_diff_from_digests(const std::vector<std::uint64_t>& source_digests,
+                              std::uint64_t source_size,
+                              std::string_view target,
+                              std::size_t block_size) {
   require_block_size(block_size);
-  BlockDelta d;
-  d.source_size = source.size();
-  d.target_size = target.size();
-  d.source_crc = crc32(as_bytes(source));
-  d.target_crc = crc32(as_bytes(target));
-  if (target.empty()) return d;
-  if (source.size() < block_size || target.size() < block_size) {
-    emit_add(d, std::string(target));
-    return d;
-  }
+  std::vector<Op> ops;
+  std::uint64_t consumed = 0;  // source bytes already retained or deleted
+  std::string pending;         // literal bytes since the last match
+  // Deletes the source skipped up to `source_end`, then inserts the
+  // pending literal in its place.
+  const auto flush = [&](std::uint64_t source_end) {
+    if (source_end > consumed) ops.push_back(Op::erase(source_end - consumed));
+    if (!pending.empty()) ops.push_back(Op::insert(std::move(pending)));
+    pending.clear();
+    consumed = source_end;
+  };
 
-  // Weak sum of every full aligned source block -> block indices. The
-  // short tail block is reachable through forward extension of the match
-  // that precedes it.
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> table;
-  table.reserve(source.size() / block_size + 1);
-  for (std::size_t off = 0; off + block_size <= source.size();
-       off += block_size) {
-    table[weak_sum(source.substr(off, block_size))].push_back(
-        static_cast<std::uint32_t>(off / block_size));
-  }
-
-  std::string pending;  // literal bytes accumulated since the last match
-  std::size_t pos = 0;
-  RollingSum roll;
-  roll.init(target.substr(0, block_size));
-  while (pos + block_size <= target.size()) {
-    bool matched = false;
-    if (const auto it = table.find(roll.value()); it != table.end()) {
-      for (const std::uint32_t index : it->second) {
-        std::size_t src_begin = static_cast<std::size_t>(index) * block_size;
-        if (std::memcmp(source.data() + src_begin, target.data() + pos,
-                        block_size) != 0) {
-          continue;
-        }
-        // Extend backward into the pending literal, then forward past
-        // block granularity — matches are maximal runs, not just blocks.
-        while (src_begin > 0 && !pending.empty() &&
-               source[src_begin - 1] == pending.back()) {
-          --src_begin;
-          pending.pop_back();
-        }
-        std::size_t src_end = static_cast<std::size_t>(index) * block_size +
-                              block_size;
-        std::size_t tgt_end = pos + block_size;
-        while (src_end < source.size() && tgt_end < target.size() &&
-               source[src_end] == target[tgt_end]) {
-          ++src_end;
-          ++tgt_end;
-        }
-        emit_add(d, std::move(pending));
-        pending.clear();
-        emit_copy(d, src_begin, src_end - src_begin);
-        pos = tgt_end;
-        if (pos + block_size <= target.size()) {
-          roll.init(target.substr(pos, block_size));
-        }
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
-      pending += target[pos];
-      if (pos + block_size < target.size()) {
-        roll.roll(target[pos], target[pos + block_size]);
-      }
-      ++pos;
-    }
-  }
-  pending.append(target.substr(pos));
-  emit_add(d, std::move(pending));
-  return d;
-}
-
-BlockDelta block_diff_from_digests(
-    const std::vector<std::uint64_t>& source_digests,
-    std::uint64_t source_size, std::string_view target,
-    std::size_t block_size) {
-  require_block_size(block_size);
-  BlockDelta d;
-  d.source_size = source_size;
-  d.target_size = target.size();
-  d.source_crc = 0;  // the caller stamps this from the probe response
-  d.target_crc = crc32(as_bytes(target));
-  if (target.empty()) return d;
+  // Only whole source blocks are matched; the short tail block (if any) is
+  // deleted and its bytes, when the target still has them, ride as literal.
   const std::size_t full_blocks = std::min<std::size_t>(
-      source_digests.size(), static_cast<std::size_t>(source_size) /
-                                 block_size);
-  if (full_blocks == 0 || target.size() < block_size) {
-    emit_add(d, std::string(target));
-    return d;
-  }
-
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> table;
-  table.reserve(full_blocks);
-  for (std::size_t i = 0; i < full_blocks; ++i) {
-    table[static_cast<std::uint32_t>(source_digests[i] >> 32)].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-
-  std::string pending;
+      source_digests.size(), static_cast<std::size_t>(source_size / block_size));
   std::size_t pos = 0;
-  RollingSum roll;
-  roll.init(target.substr(0, block_size));
-  while (pos + block_size <= target.size()) {
-    bool matched = false;
-    if (const auto it = table.find(roll.value()); it != table.end()) {
-      for (const std::uint32_t index : it->second) {
-        // Confirm on the strong half. The source bytes are not in hand, so
-        // this can still be a collision — apply's target CRC is the net.
-        if (static_cast<std::uint32_t>(source_digests[index]) !=
-            crc32(as_bytes(target.substr(pos, block_size)))) {
-          continue;
-        }
-        emit_add(d, std::move(pending));
-        pending.clear();
-        emit_copy(d, static_cast<std::uint64_t>(index) * block_size,
-                  block_size);
-        pos += block_size;
-        if (pos + block_size <= target.size()) {
-          roll.init(target.substr(pos, block_size));
-        }
-        matched = true;
-        break;
-      }
+  if (full_blocks > 0 && target.size() >= block_size) {
+    std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> table;
+    table.reserve(full_blocks);
+    for (std::size_t i = 0; i < full_blocks; ++i) {
+      table[static_cast<std::uint32_t>(source_digests[i] >> 32)].push_back(
+          static_cast<std::uint32_t>(i));
     }
-    if (!matched) {
-      pending += target[pos];
-      if (pos + block_size < target.size()) {
-        roll.roll(target[pos], target[pos + block_size]);
-      }
-      ++pos;
-    }
-  }
-  pending.append(target.substr(pos));
-  emit_add(d, std::move(pending));
-  return d;
-}
-
-std::string apply_block_delta(const BlockDelta& delta,
-                              std::string_view source) {
-  check_source_anchor(delta, source);
-  check_tiling(delta);
-  std::string out;
-  out.reserve(static_cast<std::size_t>(delta.target_size));
-  for (const BlockOp& op : delta.ops) {
-    if (op.kind == BlockOp::Kind::kCopy) {
-      out.append(source.substr(static_cast<std::size_t>(op.src_off),
-                               static_cast<std::size_t>(op.len)));
-    } else {
-      out.append(op.literal);
-    }
-  }
-  check_target(delta, out);
-  return out;
-}
-
-void apply_block_delta_inplace(const BlockDelta& delta, std::string& doc) {
-  check_source_anchor(delta, doc);
-  check_tiling(delta);
-
-  struct Copy {
-    std::size_t dst;
-    std::size_t src;
-    std::size_t len;
-    std::string scratch;  // non-empty once the copy was cycle-broken
-  };
-  std::vector<Copy> copies;
-  struct Add {
-    std::size_t dst;
-    const std::string* literal;
-  };
-  std::vector<Add> adds;
-  std::size_t dst = 0;
-  for (const BlockOp& op : delta.ops) {
-    if (op.kind == BlockOp::Kind::kCopy) {
-      copies.push_back(Copy{dst, static_cast<std::size_t>(op.src_off),
-                            static_cast<std::size_t>(op.len), {}});
-    } else {
-      adds.push_back(Add{dst, &op.literal});
-    }
-    dst += static_cast<std::size_t>(op.len);
-  }
-
-  doc.resize(std::max(static_cast<std::size_t>(delta.source_size),
-                      static_cast<std::size_t>(delta.target_size)));
-
-  // Copy destinations tile disjoint target ranges, so the only hazard is a
-  // copy clobbering bytes another pending copy still needs to read.
-  // Execute copies whose write range overlaps no pending read range; when
-  // every pending copy is blocked (a dependency cycle), materialise the
-  // shortest one's source into scratch, which removes its read edge.
-  std::vector<std::size_t> pending(copies.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) pending[i] = i;
-  const auto overlaps = [](std::size_t a_begin, std::size_t a_len,
-                           std::size_t b_begin, std::size_t b_len) {
-    return a_begin < b_begin + b_len && b_begin < a_begin + a_len;
-  };
-  while (!pending.empty()) {
-    bool progress = false;
-    for (std::size_t p = 0; p < pending.size();) {
-      const Copy& c = copies[pending[p]];
-      bool safe = true;
-      for (const std::size_t other : pending) {
-        if (other == pending[p]) continue;
-        const Copy& o = copies[other];
-        if (o.scratch.empty() && overlaps(c.dst, c.len, o.src, o.len)) {
-          safe = false;
+    RollingSum roll;
+    roll.init(target.substr(0, block_size));
+    while (pos + block_size <= target.size()) {
+      bool matched = false;
+      if (const auto it = table.find(roll.value()); it != table.end()) {
+        for (const std::uint32_t index : it->second) {
+          const std::uint64_t block_begin =
+              static_cast<std::uint64_t>(index) * block_size;
+          // In source order only, confirmed on the strong half. The source
+          // bytes are not in hand, so this can still be a collision — the
+          // receiver's target anchor is the net.
+          if (block_begin < consumed ||
+              static_cast<std::uint32_t>(source_digests[index]) !=
+                  crc32(as_bytes(target.substr(pos, block_size)))) {
+            continue;
+          }
+          flush(block_begin);
+          if (!ops.empty() && ops.back().kind == OpKind::kRetain) {
+            ops.back().count += block_size;  // contiguous with the last match
+          } else {
+            ops.push_back(Op::retain(block_size));
+          }
+          consumed += block_size;
+          pos += block_size;
+          if (pos + block_size <= target.size()) {
+            roll.init(target.substr(pos, block_size));
+          }
+          matched = true;
           break;
         }
       }
-      if (!safe) {
-        ++p;
-        continue;
-      }
-      Copy& run = copies[pending[p]];
-      std::memmove(doc.data() + run.dst,
-                   run.scratch.empty() ? doc.data() + run.src
-                                       : run.scratch.data(),
-                   run.len);
-      run.scratch.clear();
-      run.scratch.shrink_to_fit();
-      pending[p] = pending.back();
-      pending.pop_back();
-      progress = true;
-    }
-    if (!progress) {
-      // A blocked round always leaves a copy that still reads the doc: a
-      // fully-scratched pending set has no read edges and cannot block.
-      std::size_t victim = copies.size();
-      for (const std::size_t idx : pending) {
-        if (!copies[idx].scratch.empty()) continue;
-        if (victim == copies.size() || copies[idx].len < copies[victim].len) {
-          victim = idx;
+      if (!matched) {
+        pending += target[pos];
+        if (pos + block_size < target.size()) {
+          roll.roll(target[pos], target[pos + block_size]);
         }
+        ++pos;
       }
-      if (victim == copies.size()) {
-        throw Error(ErrorCode::kState, "block delta: in-place apply stuck");
-      }
-      copies[victim].scratch.assign(doc.data() + copies[victim].src,
-                                    copies[victim].len);
     }
   }
+  pending.append(target.substr(pos));
+  flush(source_size);
+  // Canonical form: apply retains whatever follows the last op anyway.
+  if (!ops.empty() && ops.back().kind == OpKind::kRetain) ops.pop_back();
+  return Delta(std::move(ops));
+}
 
-  for (const Add& a : adds) {
-    std::memcpy(doc.data() + a.dst, a.literal->data(), a.literal->size());
+std::string block_digests_to_wire(
+    const std::vector<std::uint64_t>& digests) {
+  std::string out;
+  out.reserve(digests.size() * 16);
+  for (const std::uint64_t digest : digests) {
+    append_hex8(out, static_cast<std::uint32_t>(digest >> 32));
+    append_hex8(out, static_cast<std::uint32_t>(digest));
   }
-  doc.resize(static_cast<std::size_t>(delta.target_size));
-  check_target(delta, doc);
+  return out;
+}
+
+std::vector<std::uint64_t> block_digests_from_wire(std::string_view wire) {
+  if (wire.size() % 16 != 0) {
+    throw ParseError("block digest wire: not a whole number of digests");
+  }
+  std::vector<std::uint64_t> out;
+  out.reserve(wire.size() / 16);
+  for (std::size_t pos = 0; pos < wire.size(); pos += 16) {
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < 16; ++i) {
+      const char c = wire[pos + i];
+      std::uint32_t digit = 0;
+      if (c >= '0' && c <= '9') {
+        digit = static_cast<std::uint32_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        digit = static_cast<std::uint32_t>(c - 'a' + 10);
+      } else {
+        throw ParseError("block digest wire: bad hex digit");
+      }
+      value = (value << 4) | digit;
+    }
+    out.push_back(value);
+  }
+  return out;
 }
 
 }  // namespace privedit::delta

@@ -1,80 +1,39 @@
 #pragma once
-// Ciphertext-block differential compression (ROADMAP item 3).
+// Digest-driven differential repair (DESIGN.md §15).
 //
-// A BlockDelta rewrites one byte string (the *source*) into another (the
-// *target*) as a tiling of copy/add commands — the onepass copy-add family:
-// the encoder hashes the source's aligned blocks once, then scans the
-// target with a rolling checksum, emitting Copy for runs the source already
-// holds and Add for literal bytes it lacks. Unlike delta::Delta (a
-// plaintext edit language), a BlockDelta is computed between two opaque
-// byte strings with no knowledge of keys or structure, which is what lets
-// it compress ciphertext containers: the client's save path, anti-entropy
-// repair, and journal compaction all move containers whose unedited blocks
-// are byte-identical.
+// Anti-entropy repair moves a ciphertext container from a donor replica to
+// a lagging one whose copy shares most of its blocks. The lagging replica
+// answers a probe with the per-block digests of its copy; the pusher runs
+// block_diff_from_digests over the donor container and sends the result as
+// the paper's own update language — a delta::Delta (`=n` retains a source
+// block the replica already holds, `-n` skips source it no longer needs,
+// `+str` carries literal bytes). The push is anchored both ends with
+// delta::base_anchor (the replica's copy and the expected result), so a
+// stale probe or a digest collision is refused by the receiver instead of
+// producing wrong bytes.
 //
-// Two encoders share the matcher:
-//   block_diff              — both strings in hand; candidates are verified
-//                             bytewise and extended maximally in both
-//                             directions, so a match is never wrong.
-//   block_diff_from_digests — only the source's per-block digests are known
-//                             (the lagging replica sent them); matches are
-//                             whole aligned blocks and cannot be verified,
-//                             so apply re-checks the whole-target CRC and
-//                             rejects any digest-collision damage.
-//
-// Apply comes in an out-of-place form and an in-place form
-// (apply_block_delta_inplace): the latter reconstructs the target inside
-// the source buffer by executing copies in read-before-write order,
-// breaking dependency cycles by materialising one copy's source into
-// bounded scratch — memory stays O(commands + largest cycle op) instead of
-// a second full document.
+// The matcher is one pass: a rolling weak sum slides over the target, and
+// a hit confirmed by the digest's strong half becomes a retain of that
+// whole source block. Matches are taken in source order only — a Delta
+// cannot copy backwards — which real repair traffic never needs: a lagging
+// replica's blocks appear in the donor in the same order.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "privedit/delta/delta.hpp"
+
 namespace privedit::delta {
 
-struct BlockOp {
-  enum class Kind : std::uint8_t { kCopy, kAdd };
-  Kind kind = Kind::kAdd;
-  std::uint64_t src_off = 0;  // kCopy: byte offset into the source
-  std::uint64_t len = 0;      // kCopy length; kAdd: literal.size()
-  std::string literal;        // kAdd payload
-
-  static BlockOp copy(std::uint64_t off, std::uint64_t n) {
-    return BlockOp{Kind::kCopy, off, n, {}};
-  }
-  static BlockOp add(std::string s);
-
-  bool operator==(const BlockOp&) const = default;
-};
-
-/// A copy/add tiling of the target, anchored to the exact source it was
-/// computed against (size + CRC) and carrying the expected reconstruction
-/// (size + CRC) so a stale base or a digest collision is detected at apply.
-struct BlockDelta {
-  std::uint64_t source_size = 0;
-  std::uint64_t target_size = 0;
-  std::uint32_t source_crc = 0;
-  std::uint32_t target_crc = 0;
-  std::vector<BlockOp> ops;
-
-  /// Bytes the target reuses from the source / ships as literals.
-  std::uint64_t copied_bytes() const;
-  std::uint64_t added_bytes() const;
-
-  bool operator==(const BlockDelta&) const = default;
-};
-
-/// Default matcher granularity for the local (both-strings) encoder.
+/// Smallest repair block size.
 inline constexpr std::size_t kDefaultBlockSize = 64;
 
 /// 64-bit per-block digest for the repair digest exchange: the rolling
-/// rsync-style weak sum in the high half (so the remote encoder can slide
-/// it over the target) and crc32 of the block in the low half. Collisions
-/// are caught by the whole-target CRC at apply time.
+/// rsync-style weak sum in the high half (so the matcher can slide it over
+/// the target) and crc32 of the block in the low half. Collisions are
+/// caught by the push's target anchor at the receiver.
 std::uint64_t block_digest(std::string_view block);
 
 /// Digests of `data`'s aligned blocks (the final block may be short).
@@ -87,29 +46,22 @@ std::vector<std::uint64_t> block_digests(std::string_view data,
 /// [kDefaultBlockSize, 4096].
 std::size_t repair_block_size(std::size_t content_size);
 
-/// One-pass copy-add encoder over two in-hand strings. Matches are
-/// byte-verified and extended past block granularity in both directions.
-BlockDelta block_diff(std::string_view source, std::string_view target,
-                      std::size_t block_size = kDefaultBlockSize);
+/// The Delta that turns a source known only by its aligned-block digests
+/// (and total size) into `target`: in-order retains of whole matched source
+/// blocks, deletes of the source between and after them, inserts of the
+/// rest. Applied to the source it was computed against, it yields `target`
+/// exactly; applied to any other string of `source_size` bytes, a string of
+/// target.size() bytes. Throws Error(kInvalidArgument) when block_size is 0.
+Delta block_diff_from_digests(const std::vector<std::uint64_t>& source_digests,
+                              std::uint64_t source_size,
+                              std::string_view target,
+                              std::size_t block_size);
 
-/// Encoder against a source known only by its aligned-block digests (and
-/// total size). Copies cover whole source blocks; source_crc is left 0 for
-/// the caller to stamp from the probe response.
-BlockDelta block_diff_from_digests(
-    const std::vector<std::uint64_t>& source_digests,
-    std::uint64_t source_size, std::string_view target,
-    std::size_t block_size);
+/// Wire form of a digest list in a probe reply: each digest as fixed-width
+/// 16-char lowercase hex, concatenated.
+std::string block_digests_to_wire(const std::vector<std::uint64_t>& digests);
 
-/// Reconstructs the target. Throws Error(kInvalidArgument) when `source`
-/// does not match the delta's (source_size, source_crc) anchor, ParseError
-/// when the command tiling is internally inconsistent, and IntegrityError
-/// when the reconstruction misses target_crc (digest collision or a
-/// tampered delta).
-std::string apply_block_delta(const BlockDelta& delta,
-                              std::string_view source);
-
-/// In-place variant: `doc` holds the source on entry, the target on exit.
-/// Same error contract; on throw, `doc` is left unspecified.
-void apply_block_delta_inplace(const BlockDelta& delta, std::string& doc);
+/// Throws ParseError unless `wire` is a whole number of 16-hex digests.
+std::vector<std::uint64_t> block_digests_from_wire(std::string_view wire);
 
 }  // namespace privedit::delta

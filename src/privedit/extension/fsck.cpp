@@ -83,8 +83,8 @@ cloud::CheckConfig make_check_config(const FsckOptions& options,
 }
 
 /// Pushes (content, rev) to `channel` through the same delta-aware
-/// anti-entropy helper ReplicatedChannel::push_sync uses: block-delta when
-/// the replica holds a divergent copy, full content otherwise. The donor's
+/// anti-entropy helper ReplicatedChannel::push_sync uses: an anchored delta
+/// when the replica holds a related copy, full content otherwise. The donor's
 /// audit chain rides along so the receiver's history stays linkable.
 bool push_repair(net::Channel& channel, const std::string& doc_id,
                  const cloud::Store::Record& record,

@@ -7,8 +7,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "privedit/delta/block_diff.hpp"
-#include "privedit/enc/block_wire.hpp"
 #include "privedit/util/bytes.hpp"
 #include "privedit/util/crashpoint.hpp"
 #include "privedit/util/crc32.hpp"
@@ -25,8 +23,9 @@ constexpr std::uint8_t kPending = 0x01;
 constexpr std::uint8_t kAck = 0x02;
 constexpr std::uint8_t kBase = 0x03;
 constexpr std::uint8_t kDrop = 0x04;
-constexpr std::uint8_t kBaseSnap = 0x05;
-constexpr std::uint8_t kPendingDelta = 0x06;
+// Read-only: older journals opened with a BASE that also carried the
+// acknowledged container.
+constexpr std::uint8_t kBaseWithContainer = 0x05;
 
 void put_u32(std::string& out, std::uint32_t v) {
   out.push_back(static_cast<char>(v >> 24));
@@ -62,29 +61,15 @@ std::string frame(const std::string& payload) {
   return out;
 }
 
-std::string encode_pending(const JournalEntry& e,
-                           std::uint8_t type = kPending,
-                           const std::string* update_override = nullptr) {
+std::string encode_pending(const JournalEntry& e) {
   std::string payload;
-  payload.push_back(static_cast<char>(type));
+  payload.push_back(static_cast<char>(kPending));
   put_u64(payload, e.base_rev);
   payload.push_back(e.full_save ? '\x01' : '\x00');
   payload.push_back(static_cast<char>(e.checksum.size() >> 8));
   payload.push_back(static_cast<char>(e.checksum.size()));
   payload += e.checksum;
-  payload += update_override != nullptr ? *update_override : e.update;
-  return payload;
-}
-
-std::string encode_base_snap(std::uint64_t rev, const std::string& checksum,
-                             const std::string& content) {
-  std::string payload;
-  payload.push_back(static_cast<char>(kBaseSnap));
-  put_u64(payload, rev);
-  payload.push_back(static_cast<char>(checksum.size() >> 8));
-  payload.push_back(static_cast<char>(checksum.size()));
-  payload += checksum;
-  payload += content;
+  payload += e.update;
   return payload;
 }
 
@@ -138,8 +123,7 @@ void EditJournal::load() {
     const std::uint8_t type = static_cast<std::uint8_t>(payload[0]);
     bool parsed = true;
     switch (type) {
-      case kPending:
-      case kPendingDelta: {
+      case kPending: {
         if (payload.size() < 12) { parsed = false; break; }
         JournalEntry e;
         e.base_rev = get_u64(payload, 1);
@@ -150,23 +134,10 @@ void EditJournal::load() {
         if (payload.size() < 12 + ck_len) { parsed = false; break; }
         e.checksum = std::string(payload.substr(12, ck_len));
         e.update = std::string(payload.substr(12 + ck_len));
-        if (type == kPendingDelta) {
-          // Reconstruct the full update against the BASESNAP container so
-          // pending() consumers never see the delta encoding. A record
-          // that fails to apply is treated like a torn one: everything
-          // from it on is suspect and truncated off.
-          try {
-            e.update = delta::apply_block_delta(
-                enc::block_delta_from_wire(e.update), base_content_);
-          } catch (const Error&) {
-            parsed = false;
-            break;
-          }
-        }
         pending_.push_back(std::move(e));
         break;
       }
-      case kBaseSnap: {
+      case kBaseWithContainer: {
         if (payload.size() < 11) { parsed = false; break; }
         const std::size_t ck_len =
             (static_cast<std::size_t>(static_cast<unsigned char>(payload[9])) << 8) |
@@ -174,7 +145,6 @@ void EditJournal::load() {
         if (payload.size() < 11 + ck_len) { parsed = false; break; }
         last_acked_ = Acked{get_u64(payload, 1),
                             std::string(payload.substr(11, ck_len))};
-        base_content_ = std::string(payload.substr(11 + ck_len));
         break;
       }
       case kAck:
@@ -247,11 +217,6 @@ void EditJournal::ack_front(std::uint64_t rev, const std::string& checksum) {
   // Callers may pass a reference into the front entry itself; take the
   // copy before pop_front() destroys it.
   Acked acked{rev, checksum};
-  // An acknowledged full save is the new durable baseline the next
-  // compact() deltas the remaining pendings against.
-  if (pending_.front().full_save) {
-    base_content_ = pending_.front().update;
-  }
   pending_.pop_front();
   last_acked_ = std::move(acked);
 }
@@ -264,38 +229,19 @@ void EditJournal::drop_front() {
   pending_.pop_front();
 }
 
-void EditJournal::reset(std::uint64_t rev, const std::string& checksum,
-                        std::string base_content) {
+void EditJournal::reset(std::uint64_t rev, const std::string& checksum) {
   pending_.clear();
   last_acked_ = Acked{rev, checksum};
-  base_content_ = std::move(base_content);
   compact();
 }
 
 void EditJournal::compact() {
   std::string contents;
   if (last_acked_) {
-    contents += base_content_.empty()
-                    ? frame(encode_acked(kBase, last_acked_->rev,
-                                         last_acked_->checksum))
-                    : frame(encode_base_snap(last_acked_->rev,
-                                             last_acked_->checksum,
-                                             base_content_));
+    contents += frame(
+        encode_acked(kBase, last_acked_->rev, last_acked_->checksum));
   }
-  for (const JournalEntry& e : pending_) {
-    // A pending full save repeats a whole container; against a known base
-    // it usually compacts to a block-delta a few percent of that. The
-    // size guard keeps unrelated containers (or a stale base) harmless.
-    if (e.full_save && !base_content_.empty()) {
-      const std::string wire = enc::block_delta_to_wire(
-          delta::block_diff(base_content_, e.update));
-      if (wire.size() < e.update.size()) {
-        contents += frame(encode_pending(e, kPendingDelta, &wire));
-        continue;
-      }
-    }
-    contents += frame(encode_pending(e));
-  }
+  for (const JournalEntry& e : pending_) contents += frame(encode_pending(e));
   // The append fd must not straddle the rename: close, replace, reopen.
   ::close(fd_);
   fd_ = -1;

@@ -30,24 +30,17 @@
 //     0x03 BASE     u64 rev, checksum bytes   — last_acked snapshot
 //                   (written by reset/compact as the first record)
 //     0x04 DROP     (empty)                   — drops the oldest pending
-//     0x05 BASESNAP u64 rev, u16 checksum_len, checksum bytes, container
-//                   bytes — BASE plus the acknowledged ciphertext
-//                   container itself (the durable base)
-//     0x06 PENDING∆ same layout as PENDING (full_save is always 1) but the
-//                   update field holds a block-delta wire form
-//                   (enc/block_wire) against the BASESNAP container
+//
+// Older journals may open with a 0x05 record (u64 rev, u16 checksum_len,
+// checksum bytes, ciphertext container): it loads as BASE, and the
+// container it carried is ignored.
 //
 // Appends are fsync'd; a crash mid-append leaves a torn tail record that
 // load detects (short frame or CRC mismatch), truncates, and reports.
 // Acknowledged prefixes are garbage-collected by compact(), which rewrites
 // the file as BASE + still-pending records via the durable temp+fsync+
-// rename sequence. When the acknowledged base container is known, compact
-// writes it once as BASESNAP and stores each pending full save as a
-// block-delta against it when that is smaller — pending full-state saves
-// stop costing a whole container each (ROADMAP item 3); load reconstructs
-// the full update, so pending() consumers never see a delta. The CRC is
-// framing, not security: the journal lives on the user's own disk, inside
-// the trust boundary.
+// rename sequence. The CRC is framing, not security: the journal lives on
+// the user's own disk, inside the trust boundary.
 
 #include <cstdint>
 #include <deque>
@@ -86,17 +79,13 @@ class EditJournal {
   void drop_front();
 
   /// Replaces the whole journal with a fresh baseline (new document, or
-  /// post-recovery convergence). Durable. `base_content`, when non-empty,
-  /// is the acknowledged ciphertext container itself; compact() then
-  /// stores pending full saves as block-deltas against it.
-  void reset(std::uint64_t rev, const std::string& checksum,
-             std::string base_content = {});
+  /// post-recovery convergence). Durable.
+  void reset(std::uint64_t rev, const std::string& checksum);
 
-  /// Rewrites the file as BASE[SNAP] + pending records, discarding
-  /// acknowledged history and delta-compressing pending full saves against
-  /// the base container when that wins. Durable. No-op on in-memory state
-  /// except fd_ churn; throws StorageError if the journal file cannot be
-  /// reopened after the replace.
+  /// Rewrites the file as BASE + pending records, discarding acknowledged
+  /// history. Durable. No-op on in-memory state except fd_ churn; throws
+  /// StorageError if the journal file cannot be reopened after the
+  /// replace.
   void compact();
 
   const std::deque<JournalEntry>& pending() const { return pending_; }
@@ -116,10 +105,6 @@ class EditJournal {
   /// backpressure callers must treat unknown as over-limit, not as zero.
   std::optional<std::uint64_t> bytes_on_disk() const;
 
-  /// The acknowledged base container compact() deltas against; empty when
-  /// no full-state baseline is known.
-  const std::string& base_content() const { return base_content_; }
-
   const std::string& path() const { return path_; }
 
  private:
@@ -130,7 +115,6 @@ class EditJournal {
   int fd_ = -1;
   std::deque<JournalEntry> pending_;
   std::optional<Acked> last_acked_;
-  std::string base_content_;
   bool recovered_torn_tail_ = false;
 };
 

@@ -832,11 +832,9 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
       if (EditJournal* journal = journal_for(doc_id)) {
         // Converged with the server: adopt its (verified) state as the
         // new baseline. Entries the server refused to take stay pending
-        // for the next open, so the baseline must not clobber them. The
-        // container rides along as the durable base compact() will
-        // delta-compress pending full saves against.
+        // for the next open, so the baseline must not clobber them.
         if (journal->pending().empty()) {
-          journal->reset(rev, content_hash16(content), content);
+          journal->reset(rev, content_hash16(content));
         }
       }
       if (config_.offline.enabled) {
@@ -941,10 +939,12 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
       const std::string before = live.plaintext();
       u.plain = delta::myers_diff(before, u.plain.apply(before));
     }
-    // The base snapshot is the collaborative rebase's diff base and the
-    // offline queue's base should this send flip the doc offline — don't
-    // pay O(doc) for it otherwise.
-    if (!cut_off && (config_.collaborative || config_.offline.enabled)) {
+    // The base snapshot is the rebase's diff base — after a collaborative
+    // 409 or an audit-chain 412 (a peer committed first) — and the offline
+    // queue's base should this send flip the doc offline. Don't pay O(doc)
+    // for it otherwise.
+    if (!cut_off &&
+        (config_.collaborative || config_.offline.enabled || config_.audit)) {
       u.base_plain = live.plaintext();
     }
     u.cipher = live.transform_delta(u.plain);

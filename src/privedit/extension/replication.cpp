@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "privedit/delta/block_diff.hpp"
-#include "privedit/enc/block_wire.hpp"
 #include "privedit/extension/session.hpp"
 #include "privedit/net/breaker.hpp"
 #include "privedit/util/error.hpp"
@@ -175,14 +174,12 @@ ReplicatedChannel::fetch_authoritative(const std::string& target,
 
 namespace {
 
-net::HttpRequest sync_form(const std::string& target, const char* field,
-                           const std::string& payload, const std::string& rev,
+net::HttpRequest sync_form(const std::string& target, FormData form,
+                           const std::string& rev,
                            const SyncAuditAttachment* audit) {
-  FormData form;
   form.add("cmd", "sync");
   form.add("session", "anti-entropy");
   form.add("rev", rev);
-  form.add(field, payload);
   if (audit != nullptr) {
     if (!audit->chain.empty()) form.add("achain", audit->chain);
     for (const std::string& wire : audit->witnesses) form.add("w", wire);
@@ -199,10 +196,11 @@ bool push_sync_over(net::Channel& channel, const std::string& target,
   SyncPushStats& s = stats != nullptr ? *stats : scratch;
 
   // Probe the replica's block digests. Anything short of a well-formed
-  // digest response — missing capability header, quarantined (its digests
-  // describe rot, and quarantine only lifts for a full validated
-  // container), document absent, malformed fields — selects the full push.
-  std::string delta_wire;
+  // digest reply — no probe support, quarantined (its digests describe
+  // rot, and quarantine only lifts for a full validated container),
+  // document absent, malformed fields — selects the full push.
+  FormData delta_push;
+  std::size_t delta_bytes = 0;
   try {
     FormData probe;
     probe.add("cmd", "sync");
@@ -211,22 +209,27 @@ bool push_sync_over(net::Channel& channel, const std::string& target,
     const net::HttpResponse resp = channel.round_trip(
         net::HttpRequest::post_form(target, probe.encode()));
     ++s.probes;
-    if (resp.ok() && resp.headers.get("X-Privedit-BDelta") == "1") {
-      const FormData reply = FormData::parse(resp.body);
-      const auto digests_field = reply.get("digests");
-      if (digests_field && !reply.contains("missing") &&
-          !reply.contains("quarantined")) {
-        const auto size = std::stoull(reply.get("size").value_or(""));
-        const auto bs = std::stoull(reply.get("bs").value_or(""));
-        const auto crc = std::stoull(reply.get("crc").value_or(""));
-        delta::BlockDelta bd = delta::block_diff_from_digests(
-            enc::block_digests_from_wire(*digests_field), size, content,
-            static_cast<std::size_t>(bs));
-        bd.source_crc = static_cast<std::uint32_t>(crc);
-        std::string wire = enc::block_delta_to_wire(bd);
-        // The delta only rides when it actually saves bytes; an unrelated
-        // container (nothing shared) encodes as one big Add and loses.
-        if (wire.size() < content.size()) delta_wire = std::move(wire);
+    const FormData reply = FormData::parse(resp.body);
+    const auto digests = reply.get("digests");
+    const auto base = reply.get("base");
+    if (resp.ok() && digests && base && !reply.contains("missing") &&
+        !reply.contains("quarantined")) {
+      // The anchor is "<size>:<crc32>"; stoull reads the size.
+      const std::string wire =
+          delta::block_diff_from_digests(
+              delta::block_digests_from_wire(*digests), std::stoull(*base),
+              content,
+              static_cast<std::size_t>(
+                  std::stoull(reply.get("bs").value_or(""))))
+              .to_wire();
+      const std::string dtarget = delta::base_anchor(content);
+      delta_bytes = wire.size() + base->size() + dtarget.size();
+      // The delta only rides when it actually saves bytes; an unrelated
+      // container (nothing shared) encodes as one big insert and loses.
+      if (delta_bytes < content.size()) {
+        delta_push.add("delta", wire);
+        delta_push.add("dbase", *base);
+        delta_push.add("dtarget", dtarget);
       }
     }
   } catch (const Error&) {
@@ -234,25 +237,28 @@ bool push_sync_over(net::Channel& channel, const std::string& target,
     // std::stoull rejecting a field — treat like any malformed probe reply.
   }
 
-  if (!delta_wire.empty()) {
+  if (delta_push.contains("delta")) {
     try {
-      const net::HttpResponse resp = channel.round_trip(
-          sync_form(target, "bdelta", delta_wire, rev, audit));
+      const net::HttpResponse resp =
+          channel.round_trip(sync_form(target, delta_push, rev, audit));
       if (resp.ok()) {
         ++s.delta_pushes;
-        s.bytes_delta += delta_wire.size();
+        s.bytes_delta += delta_bytes;
         return true;
       }
     } catch (const Error&) {
     }
-    // 412 (the replica's copy moved between probe and push) or a transport
-    // fault: the full-content push below is the always-correct fallback.
+    // 412 (the replica's copy moved between probe and push, or the result
+    // missed the donor's anchor) or a transport fault: the full-content
+    // push below is the always-correct fallback.
     ++s.fallbacks;
   }
 
   try {
+    FormData full;
+    full.add("content", content);
     const net::HttpResponse resp =
-        channel.round_trip(sync_form(target, "content", content, rev, audit));
+        channel.round_trip(sync_form(target, std::move(full), rev, audit));
     if (resp.ok()) {
       ++s.full_pushes;
       s.bytes_full += content.size();

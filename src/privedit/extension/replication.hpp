@@ -97,14 +97,14 @@ struct ReplicaHealth {
 };
 
 /// Byte accounting for anti-entropy pushes (repair-traffic measurement —
-/// the block-delta repair path exists to shrink bytes_full into
+/// the differential repair path exists to shrink bytes_full into
 /// bytes_delta; see DESIGN.md §15).
 struct SyncPushStats {
   std::size_t probes = 0;        // digest probes sent
-  std::size_t delta_pushes = 0;  // repairs accepted as block deltas
+  std::size_t delta_pushes = 0;  // repairs accepted as anchored deltas
   std::size_t full_pushes = 0;   // repairs pushed as full content
   std::size_t fallbacks = 0;     // delta attempted, refused (412) → full
-  std::size_t bytes_delta = 0;   // block-delta wire bytes pushed
+  std::size_t bytes_delta = 0;   // delta wire + both anchors pushed
   std::size_t bytes_full = 0;    // full-content bytes pushed
 };
 
@@ -124,17 +124,17 @@ struct SyncAuditAttachment {
 SyncAuditAttachment audit_from_reply(const FormData& reply);
 
 /// Anti-entropy push of (content, rev) to one replica, differential when
-/// possible: probes the replica's rev-anchored block digests
-/// (cmd=sync&digests=1), sends only the blocks that differ when that is
+/// possible: probes the replica's block digests (cmd=sync&digests=1),
+/// sends the §IV delta from its copy to `content` — anchored on the copy
+/// the probe named (dbase) and on `content` (dtarget) — when that is
 /// smaller, and falls back to the classic full-content cmd=sync when the
 /// replica lacks the capability, is quarantined (quarantine exit must be a
 /// full validated container), has no copy at all, or refuses the delta
-/// anchor (412 — its copy moved between probe and push). Both
-/// ReplicatedChannel repair and offline fsck push through this one helper,
-/// so the wire behaviour is identical online and offline. `audit`, when
-/// non-null, attaches the donor's audit chain and witnesses to whichever
-/// push lands. Returns true when the replica accepted the content by
-/// either route.
+/// (412 — its copy moved between probe and push). Both ReplicatedChannel
+/// repair and offline fsck push through this one helper, so the wire
+/// behaviour is identical online and offline. `audit`, when non-null,
+/// attaches the donor's audit chain and witnesses to whichever push lands.
+/// Returns true when the replica accepted the content by either route.
 bool push_sync_over(net::Channel& channel, const std::string& target,
                     const std::string& content, const std::string& rev,
                     SyncPushStats* stats = nullptr,

@@ -12,7 +12,6 @@
 #include "privedit/cloud/store_check.hpp"
 #include "privedit/delta/block_diff.hpp"
 #include "privedit/delta/delta.hpp"
-#include "privedit/enc/block_wire.hpp"
 #include "privedit/enc/container.hpp"
 #include "privedit/extension/journal.hpp"
 #include "privedit/extension/session.hpp"
@@ -200,48 +199,20 @@ void fuzz_store_record(std::string_view data,
 }
 
 void fuzz_diff(std::string_view data) {
-  // 1. The bytes as a block-delta wire message (what a malicious client or
-  //    replica can POST): parse must reject loudly or accept a value whose
-  //    re-serialisation is a fixed point, and applying an accepted delta
-  //    must either honour its anchors or reject with the error taxonomy.
+  // 1. The bytes as a digest list from a probe reply (what a malicious
+  //    replica can answer): parse must reject loudly or round trip.
+  std::vector<std::uint64_t> probed;
   try {
-    const delta::BlockDelta parsed = enc::block_delta_from_wire(data);
-    const std::string wire = enc::block_delta_to_wire(parsed);
-    check(enc::block_delta_from_wire(wire) == parsed,
-          "block delta: to_wire/from_wire is not a fixed point");
-    if (parsed.source_size <= kMaxApplySpan &&
-        parsed.target_size <= kMaxApplySpan) {
-      std::string source(parsed.source_size, '\0');
-      for (std::size_t i = 0; i < source.size(); ++i) {
-        source[i] = static_cast<char>('a' + i % 23);
-      }
-      try {
-        const std::string out = delta::apply_block_delta(parsed, source);
-        check(out.size() == parsed.target_size,
-              "block delta: apply produced a size != target_size");
-        check(crc32(as_bytes(out)) == parsed.target_crc,
-              "block delta: apply accepted a reconstruction off its CRC");
-      } catch (const Error&) {
-        // Anchor mismatch / inconsistent tiling / CRC miss — all correct.
-      }
-    }
-  } catch (const ParseError&) {
-    // correct rejection
-  }
-
-  // 2. The bytes as a digest list from a probe response.
-  try {
-    const std::vector<std::uint64_t> digests =
-        enc::block_digests_from_wire(data);
-    check(enc::block_digests_from_wire(
-              enc::block_digests_to_wire(digests)) == digests,
+    probed = delta::block_digests_from_wire(data);
+    check(delta::block_digests_from_wire(
+              delta::block_digests_to_wire(probed)) == probed,
           "block digests: wire round trip changed the list");
   } catch (const ParseError&) {
     // correct rejection (not a whole number of 16-hex digests)
   }
 
-  // 3. The bytes as a (source, target) pair: every encoder/applier
-  //    combination must reconstruct the target exactly, whatever the
+  // 2. The bytes as a (source, target) pair: digests -> Delta -> wire ->
+  //    parse -> apply must reconstruct the target exactly, whatever the
   //    content and however the block size divides it.
   if (data.size() > 2 * kMaxApplySpan) return;
   const std::size_t block_size =
@@ -249,22 +220,24 @@ void fuzz_diff(std::string_view data) {
   const std::size_t cut = data.size() / 2;
   const std::string_view source = data.substr(0, cut);
   const std::string_view target = data.substr(cut);
-
-  const delta::BlockDelta local = delta::block_diff(source, target, block_size);
-  check(delta::apply_block_delta(local, source) == target,
-        "block delta: local encoder does not round trip");
-  std::string doc(source);
-  delta::apply_block_delta_inplace(local, doc);
-  check(doc == target, "block delta: in-place apply diverges");
-  check(enc::block_delta_from_wire(enc::block_delta_to_wire(local)) == local,
-        "block delta: encoder output not a wire fixed point");
-
-  delta::BlockDelta remote = delta::block_diff_from_digests(
+  const delta::Delta repair = delta::block_diff_from_digests(
       delta::block_digests(source, block_size), source.size(), target,
       block_size);
-  remote.source_crc = crc32(as_bytes(source));
-  check(delta::apply_block_delta(remote, source) == target,
-        "block delta: digest-only encoder does not round trip");
+  const delta::Delta parsed = delta::Delta::parse(repair.to_wire());
+  check(parsed == repair, "repair delta: wire form is not a fixed point");
+  check(parsed.apply(source) == target, "repair delta: does not round trip");
+
+  // 3. Digests describing some other copy (a stale probe, a lying
+  //    replica): the delta must still consume exactly the declared source
+  //    and produce a target-sized result — what the receiver's dbase and
+  //    dtarget anchors then judge.
+  for (const auto& digests :
+       {probed, delta::block_digests(target, block_size)}) {
+    const delta::Delta blind = delta::block_diff_from_digests(
+        digests, source.size(), target, block_size);
+    check(blind.apply(source).size() == target.size(),
+          "repair delta: result size differs from the target's");
+  }
 }
 
 void fuzz_http(std::string_view data) {

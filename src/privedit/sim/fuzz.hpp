@@ -42,11 +42,11 @@ void fuzz_journal(std::string_view data, const std::string& scratch_dir);
 /// HTTP request and response framing: parse / serialise round trips.
 void fuzz_http(std::string_view data);
 
-/// Block-delta wire language (enc/block_wire.hpp) and the copy-add codec
-/// behind it: attacker bytes must parse loudly-or-fixed-point (and apply
-/// within declared bounds must reject or honour the anchors); the bytes
-/// reinterpreted as a (source, target) pair must round trip through both
-/// encoders, the in-place applier, and the digest wire form.
+/// Differential repair (delta/block_diff.hpp): attacker bytes as a probe
+/// reply's digest list must parse loudly or round trip; the bytes as a
+/// (source, target) pair must round trip digests -> Delta -> wire -> parse
+/// -> apply; and digests of some other copy must still yield a delta that
+/// consumes exactly the declared source.
 void fuzz_diff(std::string_view data);
 
 /// Store record file bytes: written as a document file (plus a sibling

@@ -1,7 +1,8 @@
-// Ciphertext-block differential compression (delta/block_diff.hpp) and its
-// wire form (enc/block_wire.hpp): round-trip properties over the copy-add
-// codec, the in-place applier, the digest-only encoder the repair path
-// uses, anchor/CRC rejection, and the wire grammar's bounds.
+// Differential repair (delta/block_diff.hpp): round-trip properties of the
+// digest matcher's Delta output through the paper's wire language, the
+// digest-list wire form, and the receiver's anchors — a delta sync whose
+// dbase misses the replica's copy, or whose result misses dtarget, is
+// refused with 412 and changes nothing.
 //
 // Scale the randomized rounds with PRIVEDIT_DIFF_ITERS=n (tools/check.sh
 // diff soaks exactly this knob).
@@ -12,23 +13,21 @@
 #include <string>
 #include <vector>
 
+#include "privedit/cloud/gdocs_server.hpp"
 #include "privedit/delta/block_diff.hpp"
-#include "privedit/enc/block_wire.hpp"
-#include "privedit/util/crc32.hpp"
+#include "privedit/delta/delta.hpp"
 #include "privedit/util/error.hpp"
 #include "privedit/util/random.hpp"
+#include "privedit/util/urlencode.hpp"
 
 namespace {
 
-using privedit::Error;
-using privedit::ErrorCode;
-using privedit::IntegrityError;
+using privedit::FormData;
 using privedit::ParseError;
 using privedit::Xoshiro256;
-using privedit::as_bytes;
-using privedit::crc32;
+namespace cloud = privedit::cloud;
 namespace delta = privedit::delta;
-namespace enc = privedit::enc;
+namespace net = privedit::net;
 
 std::size_t iter_scale() {
   const char* env = std::getenv("PRIVEDIT_DIFF_ITERS");
@@ -37,30 +36,30 @@ std::size_t iter_scale() {
   return v > 1 ? static_cast<std::size_t>(v) : 1;
 }
 
-/// Round trips source -> target through every codec combination: local
-/// encoder out-of-place + in-place, wire fixed point, digest-only encoder.
-void expect_round_trip(const std::string& source, const std::string& target,
-                       std::size_t block_size) {
-  const delta::BlockDelta local =
-      delta::block_diff(source, target, block_size);
-  EXPECT_EQ(local.source_size, source.size());
-  EXPECT_EQ(local.target_size, target.size());
-  ASSERT_EQ(delta::apply_block_delta(local, source), target)
-      << "local encoder, block_size=" << block_size;
-
-  std::string doc = source;
-  delta::apply_block_delta_inplace(local, doc);
-  EXPECT_EQ(doc, target) << "in-place apply, block_size=" << block_size;
-
-  const std::string wire = enc::block_delta_to_wire(local);
-  EXPECT_EQ(enc::block_delta_from_wire(wire), local);
-
-  delta::BlockDelta remote = delta::block_diff_from_digests(
+/// The repair delta a replica holding `source` would be sent for `target`.
+delta::Delta repair_delta(const std::string& source, const std::string& target,
+                          std::size_t block_size) {
+  return delta::block_diff_from_digests(
       delta::block_digests(source, block_size), source.size(), target,
       block_size);
-  remote.source_crc = crc32(as_bytes(source));
-  EXPECT_EQ(delta::apply_block_delta(remote, source), target)
-      << "digest-only encoder, block_size=" << block_size;
+}
+
+/// Round trips source -> target the way repair does: digests -> digest
+/// wire -> Delta -> Delta wire -> parse -> apply.
+void expect_round_trip(const std::string& source, const std::string& target,
+                       std::size_t block_size) {
+  const std::vector<std::uint64_t> digests =
+      delta::block_digests(source, block_size);
+  ASSERT_EQ(delta::block_digests_from_wire(
+                delta::block_digests_to_wire(digests)),
+            digests);
+  const delta::Delta d = delta::block_diff_from_digests(
+      digests, source.size(), target, block_size);
+  EXPECT_TRUE(d.is_canonical());
+  const delta::Delta parsed = delta::Delta::parse(d.to_wire());
+  EXPECT_EQ(parsed, d) << "wire is not a fixed point, block_size="
+                       << block_size;
+  EXPECT_EQ(parsed.apply(source), target) << "block_size=" << block_size;
 }
 
 std::string random_text(Xoshiro256& rng, std::size_t len) {
@@ -70,6 +69,43 @@ std::string random_text(Xoshiro256& rng, std::size_t len) {
   }
   return out;
 }
+
+std::size_t inserted_bytes(const delta::Delta& d) {
+  std::size_t n = 0;
+  for (const delta::Op& op : d.ops()) {
+    if (op.kind == delta::OpKind::kInsert) n += op.count;
+  }
+  return n;
+}
+
+/// A replica whose copy of "doc" is `copy` (planted by a full sync).
+struct Replica {
+  explicit Replica(const std::string& copy) {
+    FormData plant;
+    plant.add("cmd", "sync");
+    plant.add("rev", "3");
+    plant.add("content", copy);
+    EXPECT_TRUE(server.handle(post(plant)).ok());
+  }
+
+  static net::HttpRequest post(const FormData& form) {
+    return net::HttpRequest::post_form("/Doc?docID=doc", form.encode());
+  }
+
+  /// cmd=sync carrying `d` with the given anchors.
+  net::HttpResponse push(const std::string& wire, const std::string& dbase,
+                         const std::string& dtarget) {
+    FormData form;
+    form.add("cmd", "sync");
+    form.add("rev", "4");
+    form.add("delta", wire);
+    form.add("dbase", dbase);
+    form.add("dtarget", dtarget);
+    return server.handle(post(form));
+  }
+
+  cloud::GDocsServer server;
+};
 
 // ------------------------------------------------------------ edge cases --
 
@@ -83,25 +119,25 @@ TEST(BlockDiff, EmptyAndDegenerateDocuments) {
 
 TEST(BlockDiff, IdenticalInputsShipNoLiterals) {
   const std::string doc(4096, 'Q');
-  const delta::BlockDelta d = delta::block_diff(doc, doc, 64);
-  EXPECT_EQ(d.added_bytes(), 0u);
-  EXPECT_EQ(d.copied_bytes(), doc.size());
-  EXPECT_LT(enc::block_delta_to_wire(d).size(), doc.size() / 10);
-  EXPECT_EQ(delta::apply_block_delta(d, doc), doc);
+  const delta::Delta d = repair_delta(doc, doc, 64);
+  EXPECT_EQ(inserted_bytes(d), 0u);
+  EXPECT_LT(d.to_wire().size(), doc.size() / 10);
+  EXPECT_EQ(d.apply(doc), doc);
 }
 
 TEST(BlockDiff, OneByteEditCompressesTenfold) {
-  // The PR's acceptance shape at codec level: a 1-char edit on a >=100 KB
-  // document must shrink bytes-on-wire by at least 10x vs the full body.
+  // A 1-byte change in a >=100 KB container must repair in a tenth of the
+  // full body, at the block size the probe actually uses.
   Xoshiro256 rng(11);
   std::string source = random_text(rng, 120 * 1024);
   std::string target = source;
   target[60'000] = static_cast<char>(target[60'000] ^ 0x5a);
-  const delta::BlockDelta d = delta::block_diff(source, target);
-  const std::string wire = enc::block_delta_to_wire(d);
+  const delta::Delta d =
+      repair_delta(source, target, delta::repair_block_size(source.size()));
+  const std::string wire = d.to_wire();
   EXPECT_LE(wire.size() * 10, target.size())
       << "1-byte edit wire is " << wire.size() << " of " << target.size();
-  EXPECT_EQ(delta::apply_block_delta(d, source), target);
+  EXPECT_EQ(delta::Delta::parse(wire).apply(source), target);
 }
 
 TEST(BlockDiff, BinaryBytesSurviveEveryPath) {
@@ -138,23 +174,11 @@ TEST(BlockDiff, EditsAtBlockBoundaries) {
   std::string short_tail = source + "tail";
   expect_round_trip(source, short_tail, bs);
   expect_round_trip(short_tail, source, bs);
-}
 
-TEST(BlockDiff, InPlaceHandlesOverlapAndCycles) {
-  // Swapped halves force copy commands whose ranges form a dependency
-  // cycle in the in-place applier (each half must be read before the
-  // other overwrites it).
-  std::string source;
-  for (std::size_t i = 0; i < 512; ++i) {
-    source.push_back(static_cast<char>('a' + i % 23));
-  }
-  const std::string target =
-      source.substr(256) + source.substr(0, 256);
-  expect_round_trip(source, target, 64);
-
-  // Shift-by-one: every copy overlaps its own destination.
-  expect_round_trip(source, "x" + source.substr(0, source.size() - 1), 64);
-  expect_round_trip(source, source.substr(1) + "x", 64);
+  // Swapped halves: a Delta cannot copy backwards, so the half that moved
+  // forward ships as literal — still exact.
+  expect_round_trip(source, source.substr(4 * bs) + source.substr(0, 4 * bs),
+                    bs);
 }
 
 // --------------------------------------------------------------- anchors --
@@ -162,74 +186,94 @@ TEST(BlockDiff, InPlaceHandlesOverlapAndCycles) {
 TEST(BlockDiff, StaleSourceIsRejectedByAnchor) {
   const std::string source(300, 'a');
   const std::string target(300, 'b');
-  const delta::BlockDelta d = delta::block_diff(source, target, 32);
+  const std::string wire = repair_delta(source, target, 32).to_wire();
 
-  std::string wrong_bytes = source;
-  wrong_bytes[5] = 'z';
-  try {
-    (void)delta::apply_block_delta(d, wrong_bytes);
-    FAIL() << "apply accepted a source that misses the CRC anchor";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
-  }
-  EXPECT_THROW((void)delta::apply_block_delta(d, source.substr(1)), Error);
+  // The replica's copy moved between probe and push.
+  std::string moved = source;
+  moved[5] = 'z';
+  Replica replica(moved);
+  const auto resp = replica.push(wire, delta::base_anchor(source),
+                                 delta::base_anchor(target));
+  EXPECT_EQ(resp.status, 412);
+  EXPECT_EQ(replica.server.raw_content("doc"), moved);
+  EXPECT_EQ(replica.server.table().find("doc")->rev, 3u);
+  EXPECT_EQ(replica.server.counters().anchor_mismatches, 1u);
+  EXPECT_EQ(replica.server.counters().delta_syncs, 0u);
+
+  // No copy at all: nothing for dbase to name.
+  cloud::GDocsServer empty;
+  FormData form;
+  form.add("cmd", "sync");
+  form.add("delta", wire);
+  form.add("dbase", delta::base_anchor(source));
+  form.add("dtarget", delta::base_anchor(target));
+  EXPECT_EQ(empty.handle(Replica::post(form)).status, 412);
+  EXPECT_FALSE(empty.raw_content("doc").has_value());
 }
 
 TEST(BlockDiff, TamperedDeltaMissesTargetCrc) {
   const std::string source(300, 'a');
   std::string target = source;
   target[150] = 'b';
-  delta::BlockDelta d = delta::block_diff(source, target, 32);
-  d.target_crc ^= 1;  // the reconstruction can no longer match
-  EXPECT_THROW((void)delta::apply_block_delta(d, source), IntegrityError);
+  std::string wire = repair_delta(source, target, 32).to_wire();
+  const std::size_t literal = wire.find('b');
+  ASSERT_NE(literal, std::string::npos);
+  wire[literal] = 'c';  // still applies, but not to the donor's bytes
+  Replica replica(source);
+  const auto resp = replica.push(wire, delta::base_anchor(source),
+                                 delta::base_anchor(target));
+  EXPECT_EQ(resp.status, 412);
+  EXPECT_EQ(replica.server.raw_content("doc"), source);
+  EXPECT_EQ(replica.server.counters().anchor_mismatches, 1u);
+
+  // The untampered delta lands.
+  EXPECT_TRUE(replica
+                  .push(repair_delta(source, target, 32).to_wire(),
+                        delta::base_anchor(source), delta::base_anchor(target))
+                  .ok());
+  EXPECT_EQ(replica.server.raw_content("doc"), target);
+  EXPECT_EQ(replica.server.counters().delta_syncs, 1u);
 }
 
 TEST(BlockDiff, DigestCollisionIsCaughtByTargetCrc) {
-  // Simulate the digest exchange going stale: digests describe one source,
-  // the delta is applied against another whose size matches. The per-block
-  // digests differ, so copies reconstruct wrong bytes — the whole-target
-  // CRC must catch it (after stamping source anchors to match, as the
-  // repair path does from the probe response).
+  // Simulate the digest exchange going stale: digests describe one copy,
+  // the delta is applied against another of the same size. The per-block
+  // digests differ, so retains reproduce wrong bytes — the target anchor
+  // must catch it even with dbase naming the copy actually held.
   Xoshiro256 rng(7);
   const std::string advertised = random_text(rng, 1024);
   std::string actual = advertised;
   actual[512] = static_cast<char>(actual[512] ^ 0xff);
   const std::string target = advertised;  // replica wants the advertised bytes
 
-  delta::BlockDelta d = delta::block_diff_from_digests(
-      delta::block_digests(advertised, 64), advertised.size(), target, 64);
-  d.source_crc = crc32(as_bytes(actual));  // anchor matches what it's fed
-  if (d.copied_bytes() > 0) {
-    EXPECT_THROW((void)delta::apply_block_delta(d, actual), IntegrityError);
-  }
+  const delta::Delta d = repair_delta(advertised, target, 64);
+  ASSERT_NE(d.apply(actual), target);
+  Replica replica(actual);
+  const auto resp = replica.push(d.to_wire(), delta::base_anchor(actual),
+                                 delta::base_anchor(target));
+  EXPECT_EQ(resp.status, 412);
+  EXPECT_EQ(replica.server.raw_content("doc"), actual);
+  EXPECT_EQ(replica.server.counters().anchor_mismatches, 1u);
 }
 
 // ------------------------------------------------------------------ wire --
 
 TEST(BlockWire, MalformedInputsRejectLoudly) {
-  EXPECT_THROW((void)enc::block_delta_from_wire(""), ParseError);
-  EXPECT_THROW((void)enc::block_delta_from_wire("PEBDX;"), ParseError);
-  EXPECT_THROW((void)enc::block_delta_from_wire("PEBD1;s=1;t=1;"), ParseError);
-  EXPECT_THROW((void)enc::block_delta_from_wire(
-                   "PEBD1;s=0;t=9;sc=00000000;tc=00000000;A9:abc"),
-               ParseError);  // truncated literal
-  EXPECT_THROW((void)enc::block_delta_from_wire(
-                   "PEBD1;s=0;t=0;sc=00000000;tc=00000000;Z1:x;"),
-               ParseError);  // unknown tag
-  EXPECT_THROW((void)enc::block_delta_from_wire(
-                   "PEBD1;s=99999999999999999;t=0;sc=00000000;tc=00000000;"),
-               ParseError);  // declared size above the allocation guard
-  EXPECT_THROW((void)enc::block_digests_from_wire("0123456789abcde"),
+  EXPECT_THROW((void)delta::block_digests_from_wire("0123456789abcde"),
                ParseError);  // not a whole digest
-  EXPECT_THROW((void)enc::block_digests_from_wire("0123456789ABCDEF"),
+  EXPECT_THROW((void)delta::block_digests_from_wire("0123456789ABCDEF"),
                ParseError);  // hex is lowercase-only on this wire
+  EXPECT_THROW((void)delta::block_digests_from_wire("0123456789abcdeg"),
+               ParseError);
+  EXPECT_TRUE(delta::block_digests_from_wire("").empty());
 }
 
 TEST(BlockWire, DigestListRoundTrips) {
   const std::string data = "digest exchange sample payload, three blocks";
   const std::vector<std::uint64_t> digests = delta::block_digests(data, 16);
   EXPECT_EQ(digests.size(), 3u);
-  EXPECT_EQ(enc::block_digests_from_wire(enc::block_digests_to_wire(digests)),
+  EXPECT_EQ(delta::block_digests_from_wire(
+                delta::block_digests_to_wire(digests)),
             digests);
 }
 

@@ -6,10 +6,8 @@
 #include "privedit/cloud/file_servers.hpp"
 #include "privedit/cloud/gdocs_server.hpp"
 #include "privedit/cloud/xml.hpp"
-#include "privedit/delta/block_diff.hpp"
 #include "privedit/delta/delta.hpp"
 #include "privedit/enc/audit_record.hpp"
-#include "privedit/enc/block_wire.hpp"
 #include "privedit/util/error.hpp"
 #include "privedit/util/urlencode.hpp"
 
@@ -227,6 +225,11 @@ TEST(GDocsServer, AnchoredSaveOnStaleRevisionAppliesUnderStrictMode) {
   EXPECT_EQ(server.counters().conflicts, 1u);
 }
 
+// A block delta in the retired PEBD1 copy/add wire: "hello world" ->
+// "hello World" as one add command, anchored by both CRC-32s.
+constexpr const char* kLegacyBlockDelta =
+    "PEBD1;s=11;t=11;sc=0d4a1185;tc=cc8b3e81;A11:hello World;";
+
 TEST(GDocsServer, LegacyBlockDeltaSaveIsUnrecognised) {
   GDocsServer server;
   FormData create;
@@ -242,13 +245,39 @@ TEST(GDocsServer, LegacyBlockDeltaSaveIsUnrecognised) {
   FormData legacy;
   legacy.add("session", "1");
   legacy.add("rev", "1");
-  legacy.add("bdelta", enc::block_delta_to_wire(
-                           delta::block_diff("hello world", "hello World")));
+  legacy.add("bdelta", kLegacyBlockDelta);
   const auto resp = server.handle(doc_post("d", legacy));
   EXPECT_EQ(resp.status, 400);
   EXPECT_EQ(server.raw_content("d"), "hello world");
   EXPECT_EQ(server.table().find("d")->rev, 1u);
   EXPECT_EQ(server.history("d").size(), history);
+}
+
+TEST(GDocsServer, SyncWithoutPayloadIsRejected) {
+  // A sync carrying neither content nor delta — including an old pusher's
+  // bdelta= push — must not be read as "adopt the empty document".
+  GDocsServer server;
+  FormData seed;
+  seed.add("cmd", "sync");
+  seed.add("rev", "1");
+  seed.add("content", "hello world");
+  ASSERT_TRUE(server.handle(doc_post("d", seed)).ok());
+
+  FormData bare;
+  bare.add("cmd", "sync");
+  bare.add("rev", "9");
+  FormData legacy = bare;
+  legacy.add("bdelta", kLegacyBlockDelta);
+  for (const FormData& push : {bare, legacy}) {
+    const auto resp = server.handle(doc_post("d", push));
+    EXPECT_EQ(resp.status, 400) << push.encode();
+    EXPECT_EQ(server.raw_content("d"), "hello world");
+    EXPECT_EQ(server.table().find("d")->rev, 1u);
+  }
+  EXPECT_EQ(server.counters().syncs, 1u);
+  // Nor does a payload-less sync create a document.
+  EXPECT_EQ(server.handle(doc_post("absent", bare)).status, 400);
+  EXPECT_FALSE(server.raw_content("absent").has_value());
 }
 
 TEST(GDocsServer, SpellcheckFindsUnknownWords) {

@@ -234,6 +234,54 @@ TEST(MediatorBranches, UnmanagedSaveCarriesClientId) {
   EXPECT_EQ(save_clients[0], "alice");
 }
 
+TEST(MediatorBranches, ChainRejectedKeystrokeRebasesWithoutCollaborativeMode) {
+  // Audit on, collaborative and offline off: a peer advancing the chain
+  // first turns our keystroke into a 412 areason=chain. The retry must
+  // rebase the edit over the peer's save — from the pre-edit plaintext,
+  // not from an empty document.
+  cloud::GDocsServer server;
+  net::SimClock clock;
+  net::LoopbackTransport transport(
+      [&](const net::HttpRequest& r) { return server.handle(r); }, &clock,
+      net::LatencyModel{}, crypto::CtrDrbg::from_seed(603));
+  const auto audited = [](const char* client_id, std::uint64_t seed) {
+    MediatorConfig c = Stack::base_config();
+    c.client_id = client_id;
+    c.audit = true;
+    c.rng_factory = seeded_rng_factory(seed);
+    return c;
+  };
+  GDocsMediator a(&transport, audited("A", 604), &clock);
+  GDocsMediator b(&transport, audited("B", 605), &clock);
+
+  client::GDocsClient writer(&a, "d");
+  writer.create();
+  writer.insert(0, "hello world");
+  ASSERT_TRUE(writer.save());
+  client::GDocsClient peer(&b, "d");
+  peer.open();
+  peer.insert(0, "B says: ");
+  ASSERT_TRUE(peer.save());
+
+  FormData keystroke;
+  keystroke.add("session", "1");
+  keystroke.add("rev", "1");
+  keystroke.add("delta", "=11\t+!");
+  const net::HttpResponse resp = a.round_trip(
+      net::HttpRequest::post_form("/Doc?docID=d", keystroke.encode()));
+  ASSERT_TRUE(resp.ok()) << resp.status << " " << resp.body;
+  EXPECT_EQ(FormData::parse(resp.body).get("rev"), "3");
+  EXPECT_EQ(a.counters().audit_chain_retries, 1u);
+  EXPECT_EQ(a.managed_plaintext("d"), "B says: hello world!");
+
+  // The landed link binds the container the server now holds: a cold
+  // audited reader verifies the chain and reads the merged text.
+  GDocsMediator reader(&transport, audited("C", 606), &clock);
+  client::GDocsClient cold(&reader, "d");
+  cold.open();
+  EXPECT_EQ(cold.text(), "B says: hello world!");
+}
+
 // ------------------------------------------- differential full saves --
 
 static MediatorConfig delta_saves_config() {

@@ -14,6 +14,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "privedit/extension/replication.hpp"
 #include "privedit/net/socket.hpp"
 #include "privedit/util/crashpoint.hpp"
+#include "privedit/util/crc32.hpp"
 #include "privedit/util/error.hpp"
 #include "privedit/util/urlencode.hpp"
 
@@ -155,6 +157,80 @@ TEST_F(RecoveryTest, JournalCompactShrinksAckedHistory) {
   EditJournal reopened(path);
   ASSERT_TRUE(reopened.last_acked().has_value());
   EXPECT_EQ(reopened.last_acked()->rev, 20u);
+}
+
+/// One journal frame as the on-disk format defines it: "PEWJ", payload
+/// length and CRC-32 (big-endian), payload.
+std::string journal_frame(const std::string& payload) {
+  std::string out = "PEWJ";
+  for (const std::uint32_t v :
+       {static_cast<std::uint32_t>(payload.size()), crc32(as_bytes(payload))}) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<char>(v >> shift));
+    }
+  }
+  return out + payload;
+}
+
+std::string journal_u64(std::uint64_t v) {
+  std::string out;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<char>(v >> shift));
+  }
+  return out;
+}
+
+/// Payload types of every frame in the journal file at `path`.
+std::vector<int> journal_record_types(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::vector<int> types;
+  for (std::size_t at = 0; at + 12 < raw.size();) {
+    std::size_t len = 0;
+    for (std::size_t i = 4; i < 8; ++i) {
+      len = (len << 8) | static_cast<unsigned char>(raw[at + i]);
+    }
+    types.push_back(static_cast<unsigned char>(raw[at + 12]));
+    at += 12 + len;
+  }
+  return types;
+}
+
+TEST_F(RecoveryTest, JournalLoadsBaseWithContainerRecord) {
+  // Older journals opened with a 0x05 record: BASE plus the acknowledged
+  // container. It must load as BASE, with the records after it intact.
+  const std::string path = base_ + "/j.wal";
+  {
+    const std::string pending_header = std::string(1, '\x01');
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << journal_frame(std::string(1, '\x05') + journal_u64(4) +
+                         std::string("\x00\x03", 2) + "ck4" +
+                         "3ABCDEFGH-acked-container")
+        << journal_frame(pending_header + journal_u64(4) + '\x01' +
+                         std::string("\x00\x03", 2) + "ck5" +
+                         "3ABCDEFGH-next-container")
+        << journal_frame(pending_header + journal_u64(5) + '\x00' +
+                         std::string("\x00\x03", 2) + "ck6" + "=3\t+x")
+        << journal_frame(std::string(1, '\x02') + journal_u64(5) + "ck5");
+  }
+  EditJournal j(path);
+  EXPECT_FALSE(j.recovered_torn_tail());
+  ASSERT_TRUE(j.last_acked().has_value());
+  EXPECT_EQ(j.last_acked()->rev, 5u);
+  EXPECT_EQ(j.last_acked()->checksum, "ck5");
+  ASSERT_EQ(j.pending().size(), 1u);
+  EXPECT_EQ(j.pending().front().base_rev, 5u);
+  EXPECT_FALSE(j.pending().front().full_save);
+  EXPECT_EQ(j.pending().front().checksum, "ck6");
+  EXPECT_EQ(j.pending().front().update, "=3\t+x");
+
+  // Rewritten, the journal holds only BASE and PENDING records.
+  j.compact();
+  EXPECT_EQ(journal_record_types(path), (std::vector<int>{0x03, 0x01}));
+  j.drop_front();
+  j.reset(6, "ck6");
+  EXPECT_EQ(journal_record_types(path), std::vector<int>{0x03});
 }
 
 TEST_F(RecoveryTest, JournalTornTailIsTruncatedOnReload) {

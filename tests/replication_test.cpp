@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "privedit/client/gdocs_client.hpp"
 #include "privedit/cloud/gdocs_server.hpp"
 #include "privedit/crypto/ctr_drbg.hpp"
+#include "privedit/delta/delta.hpp"
 #include "privedit/extension/mediator.hpp"
 #include "privedit/extension/replication.hpp"
 #include "privedit/extension/session.hpp"
@@ -182,6 +184,20 @@ TEST(RawDeltaBatching, ComposedBeforeSending) {
 
 // ----------------------------------------- differential anti-entropy --
 
+/// Forwards to `inner`, keeping every request form it carried.
+class RecordingChannel final : public net::Channel {
+ public:
+  explicit RecordingChannel(net::Channel* inner) : inner_(inner) {}
+  net::HttpResponse round_trip(const net::HttpRequest& request) override {
+    forms.push_back(FormData::parse(request.body));
+    return inner_->round_trip(request);
+  }
+  std::vector<FormData> forms;
+
+ private:
+  net::Channel* inner_;
+};
+
 TEST(Replication, LaggingReplicaHealsOverBlockDelta) {
   ReplicatedStack stack(3, "pw");
   client::GDocsClient writer(stack.mediator.get(), "doc");
@@ -197,16 +213,24 @@ TEST(Replication, LaggingReplicaHealsOverBlockDelta) {
   // Replica 2 "missed" the second save; anti-entropy must send only the
   // blocks it lacks, and the result must be byte-identical to the donor.
   stack.replicas[2]->server.set_raw_content("doc", old_copy);
+  RecordingChannel wire(stack.replicas[2]->transport.get());
   SyncPushStats stats;
-  EXPECT_TRUE(push_sync_over(*stack.replicas[2]->transport, "/Doc?docID=doc",
-                             fresh, "7", &stats));
+  EXPECT_TRUE(push_sync_over(wire, "/Doc?docID=doc", fresh, "7", &stats));
   EXPECT_EQ(stats.probes, 1u);
   EXPECT_EQ(stats.delta_pushes, 1u);
   EXPECT_EQ(stats.full_pushes, 0u);
   EXPECT_EQ(stats.fallbacks, 0u);
   EXPECT_LT(stats.bytes_delta * 4, fresh.size());
   EXPECT_EQ(stack.replicas[2]->server.raw_content("doc").value_or(""), fresh);
-  EXPECT_GE(stack.replicas[2]->server.counters().bdelta_syncs, 1u);
+  EXPECT_EQ(stack.replicas[2]->server.counters().delta_syncs, 1u);
+
+  // The push is the §IV delta anchored on the probed copy and the donor's.
+  ASSERT_EQ(wire.forms.size(), 2u);
+  const FormData& push = wire.forms[1];
+  EXPECT_TRUE(push.contains("delta"));
+  EXPECT_FALSE(push.contains("content"));
+  EXPECT_EQ(push.get("dbase"), delta::base_anchor(old_copy));
+  EXPECT_EQ(push.get("dtarget"), delta::base_anchor(fresh));
 }
 
 TEST(Replication, QuarantinedReplicaOnlyHealsViaFullContainer) {

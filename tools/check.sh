@@ -24,10 +24,10 @@
 # matrix) with PRIVEDIT_FSCK_ITERS scaling the randomized corruption
 # rounds (default 10x), in a plain build.
 #
-# The diff mode soaks the block-delta codec: the randomized round-trip
-# properties in block_diff_test (PRIVEDIT_DIFF_ITERS multiplies the
-# rounds, default 10x), the wire-format fuzz corpus, and the sim
-# harness's differential-save phase.
+# The diff mode soaks the differential repair codec: the randomized
+# digests -> Delta round-trip properties in block_diff_test
+# (PRIVEDIT_DIFF_ITERS multiplies the rounds, default 10x), the repair
+# fuzz corpus, and the sim harness's differential-save phase.
 #
 # The audit mode soaks fork-consistency detection: the audit_test suite
 # (ctest label "audit") plus the sim harness's malicious-server adversary
@@ -81,10 +81,10 @@ if [ "${SANITIZER}" = "diff" ]; then
   cmake -S "${REPO_ROOT}" -B "${BUILD_DIR}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "${BUILD_DIR}" -j"$(nproc)" --target block_diff_test sim_test
   export PRIVEDIT_DIFF_ITERS="${PRIVEDIT_DIFF_ITERS:-10}"
-  echo "block-delta soak at PRIVEDIT_DIFF_ITERS=${PRIVEDIT_DIFF_ITERS}"
+  echo "repair-codec soak at PRIVEDIT_DIFF_ITERS=${PRIVEDIT_DIFF_ITERS}"
   cd "${BUILD_DIR}"
   exec ctest --output-on-failure -j"$(nproc)" \
-    -R "BlockDiff|BlockWire|FuzzCorpus\.Diff|SimBlockDelta" "$@"
+    -R "BlockDiff\.|BlockWire\.|FuzzCorpus\.Diff|SimBlockDelta\." "$@"
 fi
 
 if [ "${SANITIZER}" = "audit" ]; then
