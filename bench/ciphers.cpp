@@ -175,16 +175,31 @@ void BM_WideBlockEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_WideBlockEncrypt);
 
-void BM_Sha256(benchmark::State& state) {
+// SHA-256 on the dispatched backend and forced portable. 852,118 bytes is
+// the 131,072-char RPC container that the journal checksum and the ack hash
+// each read once per keystroke.
+void sha256_bench(benchmark::State& state, crypto::ShaBackend backend) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Bytes data(n, 0x66);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::Sha256::hash(data));
+    crypto::Sha256 h(backend);
+    h.update(data);
+    benchmark::DoNotOptimize(h.finish());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
+  state.SetLabel(std::string(crypto::sha_backend_name(backend)));
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
+
+void BM_Sha256(benchmark::State& state) {
+  sha256_bench(state, crypto::Sha256::dispatch_backend());
+}
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536)->Arg(852118);
+
+void BM_Sha256Portable(benchmark::State& state) {
+  sha256_bench(state, crypto::ShaBackend::kPortable);
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(4096)->Arg(65536)->Arg(852118);
 
 void BM_HmacSha256(benchmark::State& state) {
   Bytes key(32, 0x77);
@@ -197,13 +212,20 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256);
 
+// Arg = crypto::ShaBackend (0 portable, 1 SHA-NI).
 void BM_Pbkdf2_10k(benchmark::State& state) {
+  const auto backend = static_cast<crypto::ShaBackend>(state.range(0));
+  if (!crypto::Sha256::backend_available(backend)) {
+    state.SkipWithError("backend unavailable on this CPU");
+    return;
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::pbkdf2_hmac_sha256(
-        to_bytes("password"), Bytes(16, 0x99), 10'000, 32));
+        to_bytes("password"), Bytes(16, 0x99), 10'000, 32, backend));
   }
+  state.SetLabel(std::string(crypto::sha_backend_name(backend)));
 }
-BENCHMARK(BM_Pbkdf2_10k);
+BENCHMARK(BM_Pbkdf2_10k)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CtrDrbgFill(benchmark::State& state) {
   auto drbg = crypto::CtrDrbg::from_seed(1);

@@ -32,6 +32,7 @@
 #include "privedit/cloud/file_store.hpp"
 #include "privedit/cloud/gdocs_server.hpp"
 #include "privedit/cloud/store_check.hpp"
+#include "privedit/crypto/sha256.hpp"
 #include "privedit/extension/fsck.hpp"
 #include "privedit/extension/journal.hpp"
 #include "privedit/extension/session.hpp"
@@ -106,7 +107,7 @@ int run(bool quick) {
   for (const auto& [id, record] : pristine) {
     extension::EditJournal journal(journal_dir + "/" +
                                    hex_encode(as_bytes(id)) + ".wal");
-    const std::string checksum = cloud::store_content_hash16(record.content);
+    const std::string checksum = crypto::content_hash16(record.content);
     journal.append_pending({record.rev, /*full_save=*/true, checksum,
                             record.content});
     journal.ack_front(record.rev, checksum);

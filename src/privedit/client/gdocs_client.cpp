@@ -2,7 +2,6 @@
 
 #include "privedit/crypto/sha256.hpp"
 #include "privedit/util/error.hpp"
-#include "privedit/util/hex.hpp"
 #include "privedit/util/urlencode.hpp"
 
 namespace privedit::client {
@@ -170,13 +169,10 @@ void GDocsClient::consume_ack(const net::HttpResponse& response) {
   // Someone else edited the document. Reconcile using the server's view.
   const auto hash = ack.get("contentFromServerHash");
   const auto content = ack.get("contentFromServer");
-  const auto hash_of = [](std::string_view s) {
-    return hex_encode(crypto::Sha256::hash(as_bytes(s))).substr(0, 16);
-  };
-  if (hash && *hash == hash_of(text_)) {
+  if (hash && *hash == crypto::content_hash16(text_)) {
     return;  // we already converged
   }
-  if (hash && content && *hash == hash_of(*content)) {
+  if (hash && content && *hash == crypto::content_hash16(*content)) {
     // Authoritative merge: adopt the server's content. This is what the
     // real client does with plaintext documents. Local undo history no
     // longer applies to the merged text.

@@ -65,10 +65,6 @@ GDocsServer::GDocsServer() {
   for (const char* w : kDictionaryWords) dictionary_.insert(w);
 }
 
-std::string GDocsServer::content_hash(const std::string& content) const {
-  return hex_encode(crypto::Sha256::hash(as_bytes(content))).substr(0, 16);
-}
-
 net::HttpResponse GDocsServer::ack(const Document& doc, bool include_content,
                                    int status, std::string_view flag,
                                    std::string_view value) const {
@@ -80,7 +76,7 @@ net::HttpResponse GDocsServer::ack(const Document& doc, bool include_content,
   if (include_content) {
     form.add("contentFromServer", doc.content);
   }
-  form.add("contentFromServerHash", content_hash(doc.content));
+  form.add("contentFromServerHash", crypto::content_hash16(doc.content));
   form.add("rev", std::to_string(doc.rev));
   if (!doc.audit_chain.empty()) form.add("achain", doc.audit_chain);
   if (!flag.empty()) form.add(std::string(flag), std::string(value));

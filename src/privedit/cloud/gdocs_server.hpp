@@ -251,7 +251,6 @@ class GDocsServer {
   net::HttpResponse ack(const Document& doc, bool include_content,
                         int status = 200, std::string_view flag = {},
                         std::string_view value = {}) const;
-  std::string content_hash(const std::string& content) const;
   void scrub_one(const std::string& doc_id, Document& doc);
   net::HttpResponse chain_reject(const Document& doc);
   /// The one save commit: history, new content, ++rev, audit link (sidecar

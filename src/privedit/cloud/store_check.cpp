@@ -8,7 +8,6 @@
 #include "privedit/util/bytes.hpp"
 #include "privedit/util/crc32.hpp"
 #include "privedit/util/error.hpp"
-#include "privedit/util/hex.hpp"
 
 namespace privedit::cloud {
 
@@ -42,10 +41,6 @@ std::set<std::string> CheckReport::dirty_docs() const {
   std::set<std::string> out;
   for (const Finding& f : findings) out.insert(f.doc_id);
   return out;
-}
-
-std::string store_content_hash16(std::string_view content) {
-  return hex_encode(crypto::Sha256::hash(as_bytes(content))).substr(0, 16);
 }
 
 namespace {
@@ -144,7 +139,7 @@ bool check_record(const std::string& doc_id, const Store::Record& record,
       clean = false;
     } else if (record.rev == anchor->second.rev &&
                !anchor->second.checksum.empty() &&
-               store_content_hash16(record.content) !=
+               crypto::content_hash16(record.content) !=
                    anchor->second.checksum) {
       add_finding(out, doc_id, FindingKind::kFork,
                   "stored content diverges from acked checksum at rev " +

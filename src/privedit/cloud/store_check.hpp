@@ -59,7 +59,7 @@ struct Finding {
 /// journal's last-acknowledged (revision, ciphertext checksum) pair.
 struct Anchor {
   std::uint64_t rev = 0;
-  std::string checksum;  // store_content_hash16 of the acked ciphertext
+  std::string checksum;  // crypto::content_hash16 of the acked ciphertext
 };
 
 struct CheckConfig {
@@ -101,10 +101,6 @@ struct CheckReport {
   /// Doc ids with at least one finding, deduplicated.
   std::set<std::string> dirty_docs() const;
 };
-
-/// The checksum the journal anchors and the GDocs ack hash both use:
-/// hex(SHA-256(content)) truncated to 16 chars.
-std::string store_content_hash16(std::string_view content);
 
 /// Validates one record's content against `config` (container framing,
 /// optional deep validation, optional anchor), appending findings for

@@ -1,45 +1,76 @@
 #include "privedit/crypto/hmac.hpp"
 
-#include "privedit/crypto/sha256.hpp"
+#include <algorithm>
+#include <array>
+
 #include "privedit/util/error.hpp"
 
 namespace privedit::crypto {
 
-Bytes hmac_sha256(ByteView key, ByteView message) {
+HmacSha256::HmacSha256(ByteView key)
+    : HmacSha256(key, Sha256::dispatch_backend()) {}
+
+HmacSha256::HmacSha256(ByteView key, ShaBackend forced)
+    : inner_(forced), outer_(forced) {
   constexpr std::size_t kBlock = Sha256::kBlockSize;
 
-  Bytes k(kBlock, 0);
+  std::array<std::uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
-    Bytes hashed = Sha256::hash(key);
-    std::copy(hashed.begin(), hashed.end(), k.begin());
+    Sha256 hashed(forced);
+    hashed.update(key);
+    hashed.finish_into(MutByteView(k.data(), Sha256::kDigestSize));
   } else {
     std::copy(key.begin(), key.end(), k.begin());
   }
 
-  Bytes ipad(kBlock), opad(kBlock);
+  std::array<std::uint8_t, kBlock> ipad, opad;
   for (std::size_t i = 0; i < kBlock; ++i) {
     ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
-
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(message);
-  Bytes inner_digest = inner.finish();
-
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(inner_digest);
-  Bytes mac = outer.finish();
+  inner_.update(ipad);
+  outer_.update(opad);
 
   secure_wipe(k);
   secure_wipe(ipad);
   secure_wipe(opad);
-  return mac;
+}
+
+HmacSha256::~HmacSha256() {
+  inner_.wipe();
+  outer_.wipe();
+}
+
+void HmacSha256::mac_into(ByteView message, MutByteView out) const {
+  std::array<std::uint8_t, Sha256::kDigestSize> inner_digest;
+  Sha256 inner = inner_;
+  inner.update(message);
+  inner.finish_into(inner_digest);
+
+  Sha256 outer = outer_;
+  outer.update(inner_digest);
+  outer.finish_into(out);
+}
+
+Bytes HmacSha256::mac(ByteView message) const {
+  Bytes out(kMacSize);
+  mac_into(message, out);
+  return out;
+}
+
+Bytes hmac_sha256(ByteView key, ByteView message) {
+  return HmacSha256(key).mac(message);
 }
 
 Bytes pbkdf2_hmac_sha256(ByteView password, ByteView salt,
                          std::uint32_t iterations, std::size_t dk_len) {
+  return pbkdf2_hmac_sha256(password, salt, iterations, dk_len,
+                            Sha256::dispatch_backend());
+}
+
+Bytes pbkdf2_hmac_sha256(ByteView password, ByteView salt,
+                         std::uint32_t iterations, std::size_t dk_len,
+                         ShaBackend backend) {
   if (iterations == 0) {
     throw CryptoError("pbkdf2: iterations must be > 0");
   }
@@ -47,24 +78,26 @@ Bytes pbkdf2_hmac_sha256(ByteView password, ByteView salt,
     throw CryptoError("pbkdf2: dk_len must be > 0");
   }
 
-  Bytes derived;
-  derived.reserve(dk_len + Sha256::kDigestSize);
-  std::uint32_t block_index = 1;
-  while (derived.size() < dk_len) {
-    // U1 = HMAC(password, salt || INT_BE(i))
-    Bytes salted(salt.begin(), salt.end());
-    salted.resize(salt.size() + 4);
-    store_u32be(MutByteView(salted.data() + salt.size(), 4), block_index);
+  const HmacSha256 prf(password, backend);
+  Bytes salted(salt.begin(), salt.end());
+  salted.resize(salt.size() + 4);
+  std::array<std::uint8_t, HmacSha256::kMacSize> u, t;
 
-    Bytes u = hmac_sha256(password, salted);
-    Bytes t = u;
+  Bytes derived;
+  derived.reserve(dk_len + HmacSha256::kMacSize);
+  for (std::uint32_t block_index = 1; derived.size() < dk_len; ++block_index) {
+    // U1 = PRF(salt || INT_BE(i)), Uj = PRF(Uj-1), T = U1 ^ ... ^ Uc.
+    store_u32be(MutByteView(salted.data() + salt.size(), 4), block_index);
+    prf.mac_into(salted, u);
+    t = u;
     for (std::uint32_t iter = 1; iter < iterations; ++iter) {
-      u = hmac_sha256(password, u);
+      prf.mac_into(u, u);
       xor_into(t, u);
     }
-    append(derived, t);
-    ++block_index;
+    derived.insert(derived.end(), t.begin(), t.end());
   }
+  secure_wipe(u);
+  secure_wipe(t);
   derived.resize(dk_len);
   return derived;
 }

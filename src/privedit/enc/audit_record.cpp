@@ -81,22 +81,32 @@ Bytes genesis_head(ByteView key, const std::string& doc_id) {
   return crypto::hmac_sha256(key, msg);
 }
 
-Bytes chain_head(ByteView key, ByteView prev_head, std::uint64_t rev,
-                 std::uint32_t crc, const std::string& client) {
+namespace {
+
+Bytes link_mac(const crypto::HmacSha256& prf, ByteView prev_head,
+               std::uint64_t rev, std::uint32_t crc, const std::string& client) {
   Bytes msg(prev_head.begin(), prev_head.end());
   append_u64(msg, rev);
   append_u32(msg, crc);
   append(msg, as_bytes(client));
-  return crypto::hmac_sha256(key, msg);
+  return prf.mac(msg);
+}
+
+}  // namespace
+
+Bytes chain_head(ByteView key, ByteView prev_head, std::uint64_t rev,
+                 std::uint32_t crc, const std::string& client) {
+  return link_mac(crypto::HmacSha256(key), prev_head, rev, crc, client);
 }
 
 bool verify_chain(ByteView key, const AuditChain& chain) {
   if (chain.base_head.size() != crypto::Sha256::kDigestSize) return false;
+  const crypto::HmacSha256 prf(key);  // keyed once for every link
   const Bytes* prev = &chain.base_head;
   std::uint64_t prev_rev = chain.base_rev;
   for (const AuditLink& link : chain.links) {
     if (link.rev <= prev_rev) return false;  // revs must strictly advance
-    if (chain_head(key, *prev, link.rev, link.crc, link.client) != link.head) {
+    if (link_mac(prf, *prev, link.rev, link.crc, link.client) != link.head) {
       return false;
     }
     prev = &link.head;

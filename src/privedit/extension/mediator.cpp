@@ -19,11 +19,6 @@ namespace {
 constexpr std::string_view kBespinPrefix = "/file/at/";
 constexpr std::string_view kBuzzwordPrefix = "/doc/";
 
-// Must match the hash the clients and the GDocs service compute.
-std::string content_hash16(std::string_view content) {
-  return hex_encode(crypto::Sha256::hash(as_bytes(content))).substr(0, 16);
-}
-
 std::uint64_t parse_rev(const std::optional<std::string>& rev) {
   if (!rev) return 0;
   try {
@@ -204,7 +199,7 @@ void GDocsMediator::journal_offline_entry(const std::string& doc_id,
   while (!journal->pending().empty()) journal->drop_front();
   const std::string cipher_doc = it->second.scheme().ciphertext_doc();
   journal->append_pending(
-      {q.base_rev(), q.full_save(), content_hash16(cipher_doc),
+      {q.base_rev(), q.full_save(), crypto::content_hash16(cipher_doc),
        q.full_save() ? cipher_doc : q.pending_cipher()->to_wire()});
   ++counters_.journal_appends;
 }
@@ -253,8 +248,8 @@ bool GDocsMediator::try_flush(const std::string& doc_id) {
       // Resending would duplicate every queued edit.
       if (EditJournal* journal = journal_for(doc_id)) {
         if (!journal->pending().empty()) {
-          journal->ack_front(new_rev,
-                             content_hash16(fresh.scheme().ciphertext_doc()));
+          journal->ack_front(
+              new_rev, crypto::content_hash16(fresh.scheme().ciphertext_doc()));
         }
       }
       sessions_.erase(doc_id);
@@ -352,7 +347,7 @@ net::HttpResponse GDocsMediator::send_update(const std::string& doc_id,
     }
     std::string checksum;
     if (journal != nullptr) {
-      checksum = content_hash16(u.container);
+      checksum = crypto::content_hash16(u.container);
       // Write-ahead: if the send dies below, the entry is still pending at
       // the next open and gets replayed. A flush's entry is already there.
       if (!u.flush) {
@@ -430,7 +425,7 @@ net::HttpResponse GDocsMediator::send_update(const std::string& doc_id,
     if (u.rebuild && !u.rebuild(rejection)) break;
   }
   if (settle_link(auditor, resp.ok())) {
-    maybe_publish_witness(doc_id, target, *auditor);
+    maybe_publish_witness(target, *auditor);
   }
   if (resp.ok() && u.form.contains("dbase")) ++counters_.delta_full_saves;
   if (config_.offline.enabled && resp.ok()) {
@@ -536,8 +531,7 @@ void GDocsMediator::audit_adopt_served(const std::string& doc_id,
   raise_audit_verdict(doc_id, v);
 }
 
-void GDocsMediator::publish_witness(const std::string& doc_id,
-                                    const std::string& target,
+void GDocsMediator::publish_witness(const std::string& target,
                                     DocumentAuditor& auditor) {
   // Best-effort: a lost store is indistinguishable from suppression, and
   // suppression is exactly what the next open's witness check detects.
@@ -555,8 +549,7 @@ void GDocsMediator::publish_witness(const std::string& doc_id,
   }
 }
 
-void GDocsMediator::maybe_publish_witness(const std::string& doc_id,
-                                          const std::string& target,
+void GDocsMediator::maybe_publish_witness(const std::string& target,
                                           DocumentAuditor& auditor) {
   if (config_.witness_interval <= 0) return;
   if (const auto& published = auditor.published_rev()) {
@@ -565,7 +558,7 @@ void GDocsMediator::maybe_publish_witness(const std::string& doc_id,
       return;
     }
   }
-  publish_witness(doc_id, target, auditor);
+  publish_witness(target, auditor);
 }
 
 void GDocsMediator::audit_check_open(const std::string& doc_id,
@@ -646,7 +639,7 @@ void GDocsMediator::audit_check_open(const std::string& doc_id,
   }
   if (!auditor->published_rev() ||
       *auditor->published_rev() < auditor->committed_rev()) {
-    publish_witness(doc_id, target, *auditor);
+    publish_witness(target, *auditor);
   }
 }
 
@@ -670,7 +663,7 @@ net::HttpResponse GDocsMediator::recover_open(const std::string& doc_id,
           std::to_string(rev) + " older than acknowledged rev " +
           std::to_string(acked->rev));
     }
-    if (rev == acked->rev && content_hash16(content) != acked->checksum) {
+    if (rev == acked->rev && crypto::content_hash16(content) != acked->checksum) {
       ++counters_.rollbacks_detected;
       throw RollbackError("server forked document '" + doc_id +
                           "': content at acknowledged rev " +
@@ -775,7 +768,7 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
       if (EditJournal* journal = journal_for(doc_id)) {
         // A create wipes server history; stale pending entries and the old
         // baseline must not outlive it.
-        journal->reset(rev, content_hash16(""));
+        journal->reset(rev, crypto::content_hash16(""));
       }
       if (config_.offline.enabled) {
         offline_[doc_id].clear();
@@ -834,7 +827,7 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
         // new baseline. Entries the server refused to take stay pending
         // for the next open, so the baseline must not clobber them.
         if (journal->pending().empty()) {
-          journal->reset(rev, content_hash16(content));
+          journal->reset(rev, crypto::content_hash16(content));
         }
       }
       if (config_.offline.enabled) {
@@ -984,7 +977,7 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
       const std::string merged = sessions_.find(doc_id)->second.plaintext();
       FormData ack = FormData::parse(resp.body);
       ack.set("contentFromServer", merged);
-      ack.set("contentFromServerHash", content_hash16(merged));
+      ack.set("contentFromServerHash", crypto::content_hash16(merged));
       resp.body = ack.encode();
       return resp;
     }

@@ -279,12 +279,10 @@ class GDocsMediator final : public net::Channel {
                         const FormData& reply, const std::string& content);
 
   /// Stores our signed chain-head witness at the server (best-effort).
-  void publish_witness(const std::string& doc_id, const std::string& target,
-                       DocumentAuditor& auditor);
+  void publish_witness(const std::string& target, DocumentAuditor& auditor);
 
   /// publish_witness, rate-limited to every witness_interval revisions.
-  void maybe_publish_witness(const std::string& doc_id,
-                             const std::string& target,
+  void maybe_publish_witness(const std::string& target,
                              DocumentAuditor& auditor);
 
   net::Channel* upstream_;

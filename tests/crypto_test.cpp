@@ -1,10 +1,15 @@
 // Unit tests for the crypto module: AES-128 against FIPS-197 vectors (and
-// OpenSSL when available), SHA-256 / HMAC / PBKDF2 against RFC vectors,
-// CTR-DRBG determinism, and the wide-block Feistel cipher.
+// OpenSSL when available), SHA-256 / HMAC / PBKDF2 against FIPS and RFC
+// vectors on every SHA-256 backend the host runs plus a cross-backend
+// differential test, CTR-DRBG determinism, and the wide-block Feistel
+// cipher.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "privedit/crypto/aes.hpp"
 #include "privedit/crypto/aes_fast.hpp"
@@ -12,6 +17,7 @@
 #include "privedit/crypto/hmac.hpp"
 #include "privedit/crypto/key_derivation.hpp"
 #include "privedit/crypto/sha256.hpp"
+#include "privedit/crypto/sha256_ni.hpp"
 #include "privedit/crypto/wide_block.hpp"
 #include "privedit/util/error.hpp"
 #include "privedit/util/hex.hpp"
@@ -155,33 +161,119 @@ TEST(Aes128Fast, InPlaceOperation) {
   EXPECT_EQ(buf, original);
 }
 
+// Every SHA-256 backend this host can run: the portable code always, the
+// SHA-NI kernel when the CPU has it and it passed its known-answer check.
+std::vector<ShaBackend> sha_backends() {
+  std::vector<ShaBackend> out{ShaBackend::kPortable};
+  if (Sha256::backend_available(ShaBackend::kShaNi)) {
+    out.push_back(ShaBackend::kShaNi);
+  }
+  return out;
+}
+
+Bytes sha256_on(ShaBackend backend, ByteView data) {
+  Sha256 h(backend);
+  h.update(data);
+  return h.finish();
+}
+
 TEST(Sha256, Fips180Vectors) {
+  for (const ShaBackend backend : sha_backends()) {
+    SCOPED_TRACE(sha_backend_name(backend));
+    EXPECT_EQ(hex_encode(sha256_on(backend, to_bytes("abc"))),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    EXPECT_EQ(hex_encode(sha256_on(backend, to_bytes(""))),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    EXPECT_EQ(
+        hex_encode(sha256_on(
+            backend,
+            to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  }
   EXPECT_EQ(hex_encode(Sha256::hash(to_bytes("abc"))),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(hex_encode(Sha256::hash(to_bytes(""))),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(hex_encode(Sha256::hash(to_bytes(
-                "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
 TEST(Sha256, MillionAs) {
-  Sha256 h;
-  const std::string chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.update(as_bytes(chunk));
-  EXPECT_EQ(hex_encode(h.finish()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (const ShaBackend backend : sha_backends()) {
+    SCOPED_TRACE(sha_backend_name(backend));
+    Sha256 h(backend);
+    const std::string chunk(1000, 'a');
+    for (int i = 0; i < 1000; ++i) h.update(as_bytes(chunk));
+    EXPECT_EQ(hex_encode(h.finish()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  }
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
   Xoshiro256 rng(5);
   const Bytes data = rng.bytes(1000);
-  for (std::size_t split : {0u, 1u, 55u, 63u, 64u, 65u, 999u, 1000u}) {
-    Sha256 h;
-    h.update(ByteView(data.data(), split));
-    h.update(ByteView(data.data() + split, data.size() - split));
-    EXPECT_EQ(h.finish(), Sha256::hash(data)) << "split=" << split;
+  for (const ShaBackend backend : sha_backends()) {
+    SCOPED_TRACE(sha_backend_name(backend));
+    for (std::size_t split : {0u, 1u, 55u, 63u, 64u, 65u, 999u, 1000u}) {
+      Sha256 h(backend);
+      h.update(ByteView(data.data(), split));
+      h.update(ByteView(data.data() + split, data.size() - split));
+      EXPECT_EQ(h.finish(), Sha256::hash(data)) << "split=" << split;
+    }
   }
+}
+
+// The kernels must agree byte for byte on every input shape: lengths around
+// the padding boundaries (55/56 bytes leave room for the length or not,
+// 63/64/65 straddle a block), random lengths, and random update splits that
+// make the buffered path hand the kernel odd runs of whole blocks.
+TEST(Sha256, BackendsAgreeOnRandomInputs) {
+  Xoshiro256 rng(180);
+  std::vector<std::size_t> lengths;
+  for (std::size_t base : {0u, 64u, 128u, 192u, 1024u, 4096u}) {
+    for (std::size_t edge : {55u, 56u, 63u, 64u, 65u, 119u, 120u}) {
+      lengths.push_back(base + edge);
+    }
+  }
+  for (int i = 0; i < 200; ++i) lengths.push_back(rng.below(5001));
+  lengths.push_back(0);
+
+  for (const std::size_t len : lengths) {
+    const Bytes data = rng.bytes(len);
+    const Bytes expected = sha256_on(ShaBackend::kPortable, data);
+    for (const ShaBackend backend : sha_backends()) {
+      EXPECT_EQ(sha256_on(backend, data), expected)
+          << sha_backend_name(backend) << " len=" << len;
+      // Three random cuts.
+      std::vector<std::size_t> cuts{rng.below(len + 1), rng.below(len + 1),
+                                    rng.below(len + 1)};
+      std::sort(cuts.begin(), cuts.end());
+      Sha256 h(backend);
+      std::size_t at = 0;
+      for (const std::size_t cut : cuts) {
+        h.update(ByteView(data.data() + at, cut - at));
+        at = cut;
+      }
+      h.update(ByteView(data.data() + at, len - at));
+      EXPECT_EQ(h.finish(), expected)
+          << sha_backend_name(backend) << " len=" << len << " split";
+    }
+  }
+}
+
+TEST(Sha256, DispatchPicksAUsableBackend) {
+  const ShaBackend chosen = Sha256::dispatch_backend();
+  EXPECT_TRUE(Sha256::backend_available(chosen));
+  EXPECT_EQ(Sha256().backend(), chosen);
+  if (shani_cpu_supported()) {
+    // A CPU with the extension and a kernel that passes its known answers
+    // gets the hardware path; the KAT is the only thing that may veto it.
+    EXPECT_EQ(chosen, ShaBackend::kShaNi);
+  } else {
+    EXPECT_EQ(chosen, ShaBackend::kPortable);
+    EXPECT_THROW(Sha256(ShaBackend::kShaNi), CryptoError);
+  }
+}
+
+TEST(Sha256, ContentHash16IsTheDigestPrefix) {
+  EXPECT_EQ(content_hash16("abc"), "ba7816bf8f01cfea");
+  EXPECT_EQ(content_hash16(""), "e3b0c44298fc1c14");
 }
 
 TEST(Sha256, UpdateAfterFinishThrows) {
@@ -221,6 +313,78 @@ TEST(Pbkdf2, KnownVectors) {
                                           80000, 64)),
             "4ddcd8f60b98be21830cee5ef22701f9641a4418d04c0414aeff08876b34ab56"
             "a1d425a1225833549adb841b51c9b3176a272bdebba1d078478f62b397f33c8d");
+}
+
+// PBKDF2-HMAC-SHA256 vectors (the RFC 6070 inputs, SHA-256 outputs), on
+// every backend: c = 1, 2 and 4096, a multi-block dkLen of 40, and
+// embedded NUL bytes in both password and salt.
+TEST(Pbkdf2, Rfc6070StyleVectorsOnEveryBackend) {
+  struct Vector {
+    std::string password, salt;
+    std::uint32_t c;
+    std::size_t dk_len;
+    const char* hex;
+  };
+  const std::vector<Vector> vectors = {
+      {"password", "salt", 1, 32,
+       "120fb6cffcf8b32c43e7225256c4f837a86548c92ccc35480805987cb70be17b"},
+      {"password", "salt", 2, 32,
+       "ae4d0c95af6b46d32d0adff928f06dd02a303f8ef3c251dfd6e2d85a95474c43"},
+      {"password", "salt", 4096, 32,
+       "c5e478d59288c841aa530db6845c4c8d962893a001ce4e11a4963873aa98134a"},
+      {"passwordPASSWORDpassword", "saltSALTsaltSALTsaltSALTsaltSALTsalt",
+       4096, 40,
+       "348c89dbcbd32b2f32d814b8116e84cf2b17347ebc1800181c4e2a1fb8dd53e1"
+       "c635518c7dac47e9"},
+      {std::string("pass\0word", 9), std::string("sa\0lt", 5), 4096, 16,
+       "89b69d0516f829893c696226650a8687"},
+  };
+  for (const ShaBackend backend : sha_backends()) {
+    for (const Vector& v : vectors) {
+      EXPECT_EQ(hex_encode(pbkdf2_hmac_sha256(as_bytes(v.password),
+                                              as_bytes(v.salt), v.c, v.dk_len,
+                                              backend)),
+                v.hex)
+          << sha_backend_name(backend) << " c=" << v.c
+          << " dk_len=" << v.dk_len;
+    }
+  }
+}
+
+// A keyed HmacSha256 reused across messages must give what the one-shot
+// function gives for each, with short, block-sized and over-long keys (the
+// last is hashed first), on every backend.
+TEST(HmacSha256, KeyedInstanceMatchesOneShot) {
+  Xoshiro256 rng(2104);
+  for (const std::size_t key_len : {0u, 20u, 64u, 65u, 131u}) {
+    const Bytes key = rng.bytes(key_len);
+    for (const ShaBackend backend : sha_backends()) {
+      const HmacSha256 prf(key, backend);
+      for (const std::size_t msg_len : {0u, 32u, 55u, 64u, 200u}) {
+        const Bytes msg = rng.bytes(msg_len);
+        EXPECT_EQ(prf.mac(msg), hmac_sha256(key, msg))
+            << sha_backend_name(backend) << " key=" << key_len
+            << " msg=" << msg_len;
+      }
+      // mac_into may write over its own input (PBKDF2's U_j = PRF(U_j-1)).
+      Bytes u = rng.bytes(32);
+      const Bytes expected = hmac_sha256(key, u);
+      prf.mac_into(u, u);
+      EXPECT_EQ(u, expected);
+    }
+  }
+  // RFC 4231 case 6: 131-byte key, reused for two messages.
+  const HmacSha256 long_key(Bytes(131, 0xaa));
+  EXPECT_EQ(hex_encode(long_key.mac(
+                to_bytes("Test Using Larger Than Block-Size Key - Hash Key "
+                         "First"))),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  EXPECT_EQ(hex_encode(long_key.mac(
+                to_bytes("This is a test using a larger than block-size key "
+                         "and a larger than block-size data. The key needs "
+                         "to be hashed before being used by the HMAC "
+                         "algorithm."))),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
 TEST(Pbkdf2, RejectsZeroParams) {

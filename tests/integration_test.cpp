@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "privedit/client/gdocs_client.hpp"
 #include "privedit/cloud/gdocs_server.hpp"
@@ -25,12 +27,21 @@
 namespace privedit {
 namespace {
 
+// GoogleTest prints a parameter that has no operator<< as its raw bytes, and
+// that dump becomes part of every listed test name. Implicit padding would
+// leak whatever the stack held into those names, so the padding is spelled
+// out as zeroed members and the names stay the same from run to run.
 struct SessionCase {
+  SessionCase(enc::Mode m, std::size_t b, enc::Codec c, std::uint64_t s)
+      : mode(m), block_chars(b), codec(c), seed(s) {}
   enc::Mode mode;
+  std::uint8_t pad0[7] = {};
   std::size_t block_chars;
   enc::Codec codec;
+  std::uint8_t pad1[7] = {};
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<SessionCase>);
 
 class MediatedSessionFuzz : public ::testing::TestWithParam<SessionCase> {};
 

@@ -25,6 +25,7 @@
 #include "privedit/cloud/file_store.hpp"
 #include "privedit/cloud/gdocs_server.hpp"
 #include "privedit/cloud/store_check.hpp"
+#include "privedit/crypto/sha256.hpp"
 #include "privedit/enc/container.hpp"
 #include "privedit/extension/fsck.hpp"
 #include "privedit/extension/journal.hpp"
@@ -122,7 +123,7 @@ void write_anchor(const std::string& journal_dir, const std::string& doc_id,
   const std::string path =
       journal_dir + "/" + hex_encode(as_bytes(doc_id)) + ".wal";
   extension::EditJournal journal(path);
-  const std::string checksum = cloud::store_content_hash16(content);
+  const std::string checksum = crypto::content_hash16(content);
   journal.append_pending({rev, /*full_save=*/true, checksum, content});
   journal.ack_front(rev, checksum);
 }
@@ -334,11 +335,11 @@ TEST_F(StoreIntegrityTest, CheckStoreClassifiesEveryFindingKind) {
                                              header.unit_width() + 1));
 
   auto config = deep_config({
-      {"clean", {3, cloud::store_content_hash16(healthy)}},
-      {"ahead", {3, cloud::store_content_hash16(healthy)}},
-      {"rolledback", {3, cloud::store_content_hash16(healthy)}},
-      {"forked", {3, cloud::store_content_hash16(healthy)}},
-      {"ghost", {5, cloud::store_content_hash16(healthy)}},
+      {"clean", {3, crypto::content_hash16(healthy)}},
+      {"ahead", {3, crypto::content_hash16(healthy)}},
+      {"rolledback", {3, crypto::content_hash16(healthy)}},
+      {"forked", {3, crypto::content_hash16(healthy)}},
+      {"ghost", {5, crypto::content_hash16(healthy)}},
   });
   // The in-alphabet flip parses but fails authenticated decryption.
   store.put("flipped", {flip_unit_char(healthy), 3});
@@ -367,7 +368,7 @@ TEST_F(StoreIntegrityTest, CheckRecordTreatsOpaqueContentAsStructurallyClean) {
   EXPECT_TRUE(findings.empty());
 
   cloud::CheckConfig anchored;
-  anchored.anchors["d"] = {2, cloud::store_content_hash16("acked")};
+  anchored.anchors["d"] = {2, crypto::content_hash16("acked")};
   EXPECT_FALSE(cloud::check_record("d", {"just plain text", 1}, anchored,
                                    &findings));
   ASSERT_EQ(findings.size(), 1u);
