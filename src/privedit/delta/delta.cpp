@@ -165,6 +165,41 @@ std::string Delta::apply(std::string_view doc) const {
   return out;
 }
 
+void Delta::apply_in_place(std::string& doc) const {
+  std::size_t cursor = 0;
+  for (const Op& op : ops_) {
+    if (op.kind == OpKind::kInsert) continue;
+    if (op.count > doc.size() - cursor) {  // overflow-proof, as in apply()
+      throw Error(ErrorCode::kInvalidArgument,
+                  op.kind == OpKind::kRetain
+                      ? "delta apply: retain past end of document"
+                      : "delta apply: delete past end of document");
+    }
+    cursor += op.count;
+  }
+  for (std::size_t i = ops_.size(); i-- > 0;) {
+    const Op& op = ops_[i];
+    switch (op.kind) {
+      case OpKind::kRetain:
+        cursor -= op.count;
+        break;
+      case OpKind::kDelete:
+        cursor -= op.count;
+        doc.erase(cursor, op.count);
+        break;
+      case OpKind::kInsert:
+        if (i > 0 && ops_[i - 1].kind == OpKind::kDelete) {
+          --i;
+          cursor -= ops_[i].count;
+          doc.replace(cursor, ops_[i].count, op.text);
+        } else {
+          doc.insert(cursor, op.text);
+        }
+        break;
+    }
+  }
+}
+
 std::size_t Delta::input_span() const {
   std::size_t span = 0;
   for (const Op& op : ops_) {
@@ -222,12 +257,20 @@ bool Delta::is_canonical() const {
 }
 
 Delta Delta::invert(std::string_view doc) const {
+  return invert(doc.size(), [doc](std::size_t pos, std::size_t n) {
+    return std::string(doc.substr(pos, n));
+  });
+}
+
+Delta Delta::invert(
+    std::size_t doc_size,
+    const std::function<std::string(std::size_t, std::size_t)>& read) const {
   Delta out;
   std::size_t cursor = 0;
   for (const Op& op : ops_) {
     switch (op.kind) {
       case OpKind::kRetain:
-        if (op.count > doc.size() - cursor) {  // overflow-proof bound check
+        if (op.count > doc_size - cursor) {  // overflow-proof bound check
           throw Error(ErrorCode::kInvalidArgument,
                       "delta invert: retain past end of document");
         }
@@ -238,11 +281,11 @@ Delta Delta::invert(std::string_view doc) const {
         out.push(Op::erase(op.count));
         break;
       case OpKind::kDelete:
-        if (op.count > doc.size() - cursor) {
+        if (op.count > doc_size - cursor) {
           throw Error(ErrorCode::kInvalidArgument,
                       "delta invert: delete past end of document");
         }
-        out.push(Op::insert(std::string(doc.substr(cursor, op.count))));
+        out.push(Op::insert(read(cursor, op.count)));
         cursor += op.count;
         break;
     }

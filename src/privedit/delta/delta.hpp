@@ -16,6 +16,7 @@
 // self-delimiting so it can be logged and diffed safely.)
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +51,13 @@ class Delta {
   /// Applies to a document. Throws Error(kInvalidArgument) if a retain or
   /// delete runs past the end of the document.
   std::string apply(std::string_view doc) const;
+
+  /// apply() without the copy: edits `doc` in place. Every retain and
+  /// delete bound is checked before the first byte changes, so a throw
+  /// leaves `doc` untouched. Splices run from the last op back to the
+  /// first, so each earlier op's offset stays valid; a delete followed by
+  /// an insert is one replace (no tail shift when the lengths match).
+  void apply_in_place(std::string& doc) const;
 
   /// Number of input characters consumed (retains + deletes). The delta is
   /// valid for any document with length >= input_span().
@@ -87,6 +95,13 @@ class Delta {
   /// a delete; the inverse of a delete re-inserts the original characters,
   /// which is why the base document is required. Powers client-side undo.
   Delta invert(std::string_view doc) const;
+
+  /// invert() without the whole base document: `doc_size` bounds the ops
+  /// and `read(pos, n)` returns the n base characters at pos. Only deleted
+  /// spans are read, so an edit's inverse costs O(edit) characters.
+  Delta invert(std::size_t doc_size,
+               const std::function<std::string(std::size_t, std::size_t)>&
+                   read) const;
 
   /// True if already in canonical form.
   bool is_canonical() const;

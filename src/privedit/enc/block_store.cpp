@@ -150,6 +150,25 @@ std::string BlockStore::plaintext() const {
   return out;
 }
 
+std::string BlockStore::plaintext_range(std::size_t pos,
+                                        std::size_t len) const {
+  if (pos > char_count() || len > char_count() - pos) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "BlockStore: read range out of bounds");
+  }
+  std::string out;
+  if (len == 0) return out;
+  out.reserve(len);
+  const auto loc = list_.find(pos);
+  std::size_t offset = loc.offset;
+  for (std::size_t elem = loc.element_index; out.size() < len; ++elem) {
+    const std::string& plain = list_.get(elem).plain;
+    out.append(plain, offset, len - out.size());
+    offset = 0;
+  }
+  return out;
+}
+
 void BlockStore::load_blocks(std::vector<Block> blocks) {
   list_.clear();
   std::size_t elem = 0;

@@ -62,6 +62,10 @@ class BlockStore {
   /// Full plaintext (concatenation of all blocks).
   std::string plaintext() const;
 
+  /// The `len` characters at `pos`: one O(log n) lookup, then a walk over
+  /// the blocks the range covers. Throws if the range is out of bounds.
+  std::string plaintext_range(std::size_t pos, std::size_t len) const;
+
   template <typename Fn>
   void for_each(Fn&& fn) const {
     list_.for_each([&fn](const Block& b, std::size_t) { fn(b); });

@@ -117,6 +117,15 @@ delta::Delta CoCloScheme::transform_delta(const delta::Delta& pdelta) {
 
 std::string CoCloScheme::plaintext() const { return plaintext_; }
 
+std::string CoCloScheme::plaintext_range(std::size_t pos,
+                                         std::size_t len) const {
+  if (pos > plaintext_.size() || len > plaintext_.size() - pos) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "CoClo: read range out of bounds");
+  }
+  return plaintext_.substr(pos, len);
+}
+
 std::string CoCloScheme::ciphertext_doc() const {
   std::string doc;
   doc.push_back(codec_tag(header_.codec));

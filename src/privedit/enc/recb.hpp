@@ -46,6 +46,10 @@ class RecbScheme final : public IncrementalScheme {
   void load(std::string_view ciphertext_doc) override;
   delta::Delta transform_delta(const delta::Delta& pdelta) override;
   std::string plaintext() const override;
+  std::string plaintext_range(std::size_t pos,
+                              std::size_t len) const override {
+    return store_.plaintext_range(pos, len);
+  }
   std::string ciphertext_doc() const override;
   SchemeStats stats() const override;
 

@@ -45,6 +45,11 @@ class IncrementalScheme {
   /// Current plaintext (Dec's output when called after load()).
   virtual std::string plaintext() const = 0;
 
+  /// The `len` plaintext characters at `pos`, in O(log n + len) for the
+  /// blocked modes. Throws Error(kInvalidArgument) past the end.
+  virtual std::string plaintext_range(std::size_t pos,
+                                      std::size_t len) const = 0;
+
   /// Re-serialises the full encoded ciphertext document from state.
   /// O(document); used for verification and benches, never on the wire
   /// after the first save.

@@ -197,7 +197,7 @@ void GDocsMediator::journal_offline_entry(const std::string& doc_id,
   // newly queued edit replaces it (drop + append), so a crash while offline
   // recovers exactly the composed state through the normal WAL replay.
   while (!journal->pending().empty()) journal->drop_front();
-  const std::string cipher_doc = it->second.scheme().ciphertext_doc();
+  const std::string& cipher_doc = it->second.container();
   journal->append_pending(
       {q.base_rev(), q.full_save(), crypto::content_hash16(cipher_doc),
        q.full_save() ? cipher_doc : q.pending_cipher()->to_wire()});
@@ -223,7 +223,7 @@ bool GDocsMediator::try_flush(const std::string& doc_id) {
     u.form = FormData{};
     u.form.add("session", "offline-replay");
     if (q.full_save()) {
-      u.container = session.scheme().ciphertext_doc();
+      u.container = session.container();
       u.form.add("docContents", u.container);
     } else {
       u.form.add("delta", q.pending_cipher()->to_wire());
@@ -248,8 +248,8 @@ bool GDocsMediator::try_flush(const std::string& doc_id) {
       // Resending would duplicate every queued edit.
       if (EditJournal* journal = journal_for(doc_id)) {
         if (!journal->pending().empty()) {
-          journal->ack_front(
-              new_rev, crypto::content_hash16(fresh.scheme().ciphertext_doc()));
+          journal->ack_front(new_rev,
+                             crypto::content_hash16(fresh.container()));
         }
       }
       sessions_.erase(doc_id);
@@ -334,20 +334,20 @@ net::HttpResponse GDocsMediator::send_update(const std::string& doc_id,
     }
     const std::uint64_t base_rev = parse_rev(u.form.get("rev"));
     const bool auditing = auditor != nullptr && auditor->initialized();
-    if (!u.full_save && (journal != nullptr || auditing)) {
-      // The journal checksum and the audit link both bind the container
-      // this delta produces. Serialising it is pure waste without them (it
-      // dominated the per-edit cost at small block sizes).
-      u.container = sessions_.find(doc_id)->second.scheme().ciphertext_doc();
-    }
+    // The journal checksum and the audit link both bind the container the
+    // update produces. A delta's is the session's, viewed, not copied, and
+    // looked up again on every attempt: a rebuild swaps the session.
+    const std::string_view container =
+        u.full_save ? u.container
+                    : sessions_.find(doc_id)->second.container();
     if (auditing) {
       // Durable BEFORE the wire, like the journal entry below.
       stage_link(*auditor, u.form, auditor->committed_rev() + 1,
-                 crc32(as_bytes(u.container)));
+                 crc32(as_bytes(container)));
     }
     std::string checksum;
     if (journal != nullptr) {
-      checksum = crypto::content_hash16(u.container);
+      checksum = crypto::content_hash16(container);
       // Write-ahead: if the send dies below, the entry is still pending at
       // the next open and gets replayed. A flush's entry is already there.
       if (!u.flush) {
@@ -376,7 +376,9 @@ net::HttpResponse GDocsMediator::send_update(const std::string& doc_id,
       if (oq == nullptr || u.flush) throw;  // a flush stays offline
       // Retry budget exhausted (or breaker open): flip the document
       // offline.
-      oq->enter(server_rev_[doc_id], std::move(u.base_plain), target);
+      oq->enter(server_rev_[doc_id],
+                u.undo.apply(sessions_.find(doc_id)->second.plaintext()),
+                target);
       ++counters_.offline_entered;
       return queue_offline();
     }
@@ -883,8 +885,6 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
     DocumentSession& live = sessions_.find(doc_id)->second;
     Update u;
     u.full_save = true;
-    // The offline queue's base should this send flip the doc offline.
-    if (config_.offline.enabled) u.base_plain = *contents;
     // An empty mirror may stand for a document the server holds as ""
     // (fresh from create): there is nothing to anchor on.
     std::string mirror_plain;
@@ -899,15 +899,15 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
       // that already), so it is the anchor; if the server diverged anyway
       // it answers 412 and send_update resends the plain full save.
       try {
-        const std::string before = live.scheme().ciphertext_doc();
+        const std::string anchor = delta::base_anchor(live.container());
         const delta::Delta cdelta =
             live.transform_delta(delta::myers_diff(mirror_plain, *contents));
-        u.container = cdelta.apply(before);
+        u.container = live.container();
         std::string wire = cdelta.to_wire();
         if (wire.size() < u.container.size()) {
           form.remove("docContents");
           form.set("delta", std::move(wire));
-          form.set("dbase", delta::base_anchor(before));
+          form.set("dbase", anchor);
         }
       } catch (const Error&) {
         u.container.clear();  // derivation refused; re-encrypt from scratch
@@ -932,14 +932,12 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
       const std::string before = live.plaintext();
       u.plain = delta::myers_diff(before, u.plain.apply(before));
     }
-    // The base snapshot is the rebase's diff base — after a collaborative
-    // 409 or an audit-chain 412 (a peer committed first) — and the offline
-    // queue's base should this send flip the doc offline. Don't pay O(doc)
-    // for it otherwise.
-    if (!cut_off &&
-        (config_.collaborative || config_.offline.enabled || config_.audit)) {
-      u.base_plain = live.plaintext();
-    }
+    // The pre-edit plaintext is the rebase's diff base — after a
+    // collaborative 409 or an audit-chain 412 (a peer committed first) —
+    // and the offline queue's base should this send flip the doc offline.
+    // Both are rare, so only the edit's O(edit) inverse is kept; they
+    // rebuild the base from it.
+    u.undo = live.inverse(u.plain);
     u.cipher = live.transform_delta(u.plain);
     form.set("delta", u.cipher.to_wire());
     u.form = std::move(form);
@@ -951,14 +949,15 @@ net::HttpResponse GDocsMediator::round_trip(const net::HttpRequest& request) {
       DocumentSession fresh = DocumentSession::open(
           config_.password, *rejection.get("contentFromServer"),
           config_.rng_factory);
-      std::string server_plain = fresh.plaintext();
+      const std::string server_plain = fresh.plaintext();
+      const std::string base =
+          u.undo.apply(sessions_.find(doc_id)->second.plaintext());
       u.plain = delta::Delta::transform(
-          u.plain, delta::myers_diff(u.base_plain, server_plain),
-          /*a_wins=*/false);
+          u.plain, delta::myers_diff(base, server_plain), /*a_wins=*/false);
+      u.undo = u.plain.invert(server_plain);
       u.cipher = fresh.transform_delta(u.plain);
       sessions_.erase(doc_id);
       sessions_.emplace(doc_id, std::move(fresh));
-      u.base_plain = std::move(server_plain);
       u.form.set("delta", u.cipher.to_wire());
       u.form.set("rev", *rejection.get("rev"));
       // Offline mode re-substitutes the rev field from server_rev_.
@@ -1002,6 +1001,11 @@ std::optional<std::string> GDocsMediator::managed_ciphertext(
   const auto it = sessions_.find(doc_id);
   if (it == sessions_.end()) return std::nullopt;
   return it->second.scheme().ciphertext_doc();
+}
+
+const DocumentSession* GDocsMediator::session(const std::string& doc_id) const {
+  const auto it = sessions_.find(doc_id);
+  return it == sessions_.end() ? nullptr : &it->second;
 }
 
 std::optional<enc::SchemeStats> GDocsMediator::managed_stats(

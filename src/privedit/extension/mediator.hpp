@@ -107,8 +107,7 @@ struct MediatorConfig {
   /// first successful probe replays (and if needed rebases) the composed
   /// update. While enabled the mediator also owns the revision field on
   /// the wire, so the editor's view of revisions may run ahead of the
-  /// server's during an outage. Costs one O(doc) plaintext snapshot per
-  /// delta save (the rebase base), so it is opt-in.
+  /// server's during an outage.
   OfflineConfig offline;
 };
 
@@ -169,8 +168,13 @@ class GDocsMediator final : public net::Channel {
 
   /// The extension's ciphertext container for a managed document — the
   /// bytes a converged server must hold verbatim (the sim's delta-wire
-  /// phase asserts exactly this after a quiesce).
+  /// phase asserts exactly this after a quiesce). Serialised from the
+  /// scheme, not read from the session's container(), so comparing the two
+  /// checks the cache.
   std::optional<std::string> managed_ciphertext(const std::string& doc_id) const;
+
+  /// The document's session; nullptr when it has none.
+  const DocumentSession* session(const std::string& doc_id) const;
 
   /// Scheme statistics for a managed document (blow-up, block counts, ...).
   std::optional<enc::SchemeStats> managed_stats(const std::string& doc_id) const;
@@ -228,8 +232,11 @@ class GDocsMediator final : public net::Channel {
     FormData form;           // wire form; send_update fills rev and alink
     bool full_save = false;  // carries (or anchors) a whole container
     bool flush = false;      // replay of the composed offline update
-    std::string container;   // post-update container (deltas: lazily)
-    std::string base_plain;  // pre-edit plaintext (collaborative/offline)
+    std::string container;   // full saves: the container sent or anchored
+    /// Delta saves: the edit's inverse, so applying it to the session's
+    /// plaintext gives the pre-edit text a rebase or an offline flip needs.
+    /// Empty (identity) for full saves.
+    delta::Delta undo;
     delta::Delta plain;      // delta saves: the edit and its cdelta, as the
     delta::Delta cipher;     // offline queue composes them
     /// Re-targets the update at a chain 412's or 409's content and rev;

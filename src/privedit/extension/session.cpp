@@ -25,11 +25,10 @@ DocumentSession DocumentSession::create_new(const std::string& password,
   const enc::ContainerHeader header = enc::make_header(config, *header_rng);
   const crypto::DocumentKeys keys = crypto::derive_document_keys(
       password, header.salt, crypto::KdfParams{header.kdf_iterations});
-  DocumentSession session(
-      enc::make_scheme(header, keys, rng_factory()));
+  auto scheme = enc::make_scheme(header, keys, rng_factory());
   // Start from an empty document so transform_delta is usable immediately.
-  session.scheme_->initialize("");
-  return session;
+  std::string container = scheme->initialize("");
+  return DocumentSession(std::move(scheme), std::move(container));
 }
 
 DocumentSession rotate_password(const DocumentSession& current,
@@ -54,9 +53,22 @@ DocumentSession DocumentSession::open(const std::string& password,
   const enc::ContainerHeader& header = reader.header();
   const crypto::DocumentKeys keys = crypto::derive_document_keys(
       password, header.salt, crypto::KdfParams{header.kdf_iterations});
-  DocumentSession session(enc::make_scheme(header, keys, rng_factory()));
-  session.scheme_->load(ciphertext_doc);
-  return session;
+  auto scheme = enc::make_scheme(header, keys, rng_factory());
+  scheme->load(ciphertext_doc);
+  return DocumentSession(std::move(scheme), std::string(ciphertext_doc));
+}
+
+delta::Delta DocumentSession::transform_delta(const delta::Delta& pdelta) {
+  delta::Delta cdelta = scheme_->transform_delta(pdelta);
+  cdelta.apply_in_place(container_);
+  return cdelta;
+}
+
+delta::Delta DocumentSession::inverse(const delta::Delta& pdelta) const {
+  return pdelta.invert(scheme_->stats().plaintext_chars,
+                       [this](std::size_t pos, std::size_t n) {
+                         return scheme_->plaintext_range(pos, n);
+                       });
 }
 
 }  // namespace privedit::extension

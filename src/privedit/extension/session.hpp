@@ -39,28 +39,45 @@ class DocumentSession {
                               std::string_view ciphertext_doc,
                               const RngFactory& rng_factory);
 
-  enc::IncrementalScheme& scheme() { return *scheme_; }
+  /// Read-only: the members below are the only mutations, and each keeps
+  /// container() in step with the scheme.
   const enc::IncrementalScheme& scheme() const { return *scheme_; }
 
-  std::string encrypt_full(std::string_view plaintext) {
-    return scheme_->initialize(plaintext);
+  /// The serialised ciphertext container — byte-equal to
+  /// scheme().ciphertext_doc() without its O(n) serialisation. Seeded by
+  /// create_new/open, replaced by encrypt_full, patched in place by
+  /// transform_delta.
+  const std::string& container() const { return container_; }
+
+  const std::string& encrypt_full(std::string_view plaintext) {
+    container_ = scheme_->initialize(plaintext);
+    return container_;
   }
-  delta::Delta transform_delta(const delta::Delta& pdelta) {
-    return scheme_->transform_delta(pdelta);
-  }
+
+  /// IncE; the returned cdelta is also applied to container(). A cdelta
+  /// that does not apply to the scheme's own container is a logic error
+  /// and throws.
+  delta::Delta transform_delta(const delta::Delta& pdelta);
+
+  /// The inverse of `pdelta` against the current plaintext, reading only
+  /// the characters it deletes: O(log n + edit), never a snapshot.
+  delta::Delta inverse(const delta::Delta& pdelta) const;
+
   std::string plaintext() const { return scheme_->plaintext(); }
 
  private:
-  explicit DocumentSession(std::unique_ptr<enc::IncrementalScheme> scheme)
-      : scheme_(std::move(scheme)) {}
+  DocumentSession(std::unique_ptr<enc::IncrementalScheme> scheme,
+                  std::string container)
+      : scheme_(std::move(scheme)), container_(std::move(container)) {}
 
   std::unique_ptr<enc::IncrementalScheme> scheme_;
+  std::string container_;  // one extra container per open session
 };
 
 /// Password rotation: re-encrypts the session's current plaintext under a
 /// new password with a fresh salt (and fresh nonces throughout). Returns
-/// the new session; its scheme().ciphertext_doc() is the replacement the
-/// server should store. The old password can no longer open the result.
+/// the new session; its container() is the replacement the server should
+/// store. The old password can no longer open the result.
 DocumentSession rotate_password(const DocumentSession& current,
                                 const std::string& new_password,
                                 const RngFactory& rng_factory);

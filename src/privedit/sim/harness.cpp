@@ -130,6 +130,7 @@ class Runner {
     if (rep_.ok && cfg_.persist && !sharded()) store_quiesce_check();
     if (rep_.ok && sharded()) shard_equiv_check("quiesce");
     if (rep_.ok && cfg_.delta_saves) delta_quiesce_check();
+    if (rep_.ok) container_quiesce_check();
     collect_resilience_cov();
     rep_.final_doc_chars = model_.size();
     rep_.final_rev = rev_;
@@ -818,6 +819,22 @@ class Runner {
     }
   }
 
+  /// End-of-run invariant for every run: the session's cached container —
+  /// what every journal checksum, audit link and delta anchor was computed
+  /// over — is byte-equal to a fresh serialisation of its scheme, after
+  /// whatever the adversary, crash and offline phases did to the session.
+  void container_quiesce_check() {
+    if (mediator_ == nullptr) return;
+    const extension::DocumentSession* session = mediator_->session(kDocId);
+    if (session == nullptr) return;
+    const std::string& cached = session->container();
+    if (cached != session->scheme().ciphertext_doc()) {
+      fail("container-quiesce", "session container (" +
+                                    std::to_string(cached.size()) +
+                                    " bytes) != its scheme's serialisation");
+    }
+  }
+
   void collect_resilience_cov() {
     if (mediator_ == nullptr) return;
     const auto& mc = mediator_->counters();
@@ -1161,7 +1178,7 @@ class Runner {
     }
     pd.push(delta::Op::insert(text));
     (void)session.transform_delta(pd);
-    const std::string next = session.scheme().ciphertext_doc();
+    const std::string& next = session.container();
     const enc::AuditLink link =
         auditor.stage_link(auditor.committed_rev() + 1,
                            crc32(as_bytes(next)));

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "privedit/delta/delta.hpp"
 #include "privedit/util/error.hpp"
 #include "privedit/util/random.hpp"
@@ -514,6 +520,117 @@ TEST(Invert, UndoStack) {
 TEST(Invert, OutOfRangeThrows) {
   EXPECT_THROW(Delta::parse("=9").invert("abc"), Error);
   EXPECT_THROW(Delta::parse("-9").invert("abc"), Error);
+}
+
+TEST(Invert, RangeReaderReadsOnlyDeletedSpans) {
+  // The O(edit) form: same inverse as invert(doc), but the base is read
+  // one deleted span at a time.
+  const std::string doc = "the quick brown fox";
+  const Delta d = Delta::parse("=4\t-6\t+slow \t=6\t-3\t+cat");
+  std::vector<std::pair<std::size_t, std::size_t>> reads;
+  const Delta undo =
+      d.invert(doc.size(), [&](std::size_t pos, std::size_t n) {
+        reads.emplace_back(pos, n);
+        return doc.substr(pos, n);
+      });
+  EXPECT_EQ(undo, d.invert(doc));
+  EXPECT_EQ(undo.apply(d.apply(doc)), doc);
+  const std::vector<std::pair<std::size_t, std::size_t>> deleted = {{4, 6},
+                                                                    {16, 3}};
+  EXPECT_EQ(reads, deleted);
+  // An insert needs no text at all.
+  const Delta insert = Delta::parse("=3\t+abc");
+  EXPECT_EQ(insert.invert(doc.size(),
+                          [](std::size_t, std::size_t) -> std::string {
+                            ADD_FAILURE() << "an insert read the base";
+                            return {};
+                          }),
+            insert.invert(doc));
+  EXPECT_THROW(Delta::parse("=20").invert(doc.size(), nullptr), Error);
+}
+
+/// Random delta over a document of `len` chars: retains, deletes and
+/// inserts mixed, including same-length delete+insert replaces and edits
+/// at offset 0 and at the very end.
+Delta random_edit(Xoshiro256& rng, std::size_t len) {
+  Delta d;
+  std::size_t pos = 0;
+  while (true) {
+    const auto choice = rng.below(5);
+    if (choice == 0 && pos < len) {
+      const std::size_t n = 1 + rng.below(len - pos);
+      d.push(Op::retain(n));
+      pos += n;
+    } else if (choice == 1 && pos < len) {
+      const std::size_t n = 1 + rng.below(std::min<std::size_t>(len - pos, 8));
+      d.push(Op::erase(n));
+      pos += n;
+    } else if (choice == 2 && pos < len) {
+      // A same-length replace: the cdelta shape of a re-encrypted unit.
+      const std::size_t n = 1 + rng.below(std::min<std::size_t>(len - pos, 8));
+      d.push(Op::erase(n));
+      const char fill = static_cast<char>('A' + rng.below(26));
+      d.push(Op::insert(std::string(n, fill)));
+      pos += n;
+    } else if (choice == 3) {
+      d.push(Op::insert(std::string(1 + rng.below(6), 'Q')));
+    } else if (rng.below(3) == 0) {
+      break;
+    }
+    if (pos == len && rng.below(2) == 0) break;
+  }
+  return d;
+}
+
+TEST(ApplyInPlace, MatchesApplyOnRandomDeltas) {
+  Xoshiro256 rng(1601);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string doc;
+    const std::size_t len = rng.below(64);
+    for (std::size_t i = 0; i < len; ++i) {
+      doc.push_back(static_cast<char>('a' + rng.below(26)));
+    }
+    // Raw and canonical forms both: the raw one keeps insert-before-delete
+    // orders and adjacent same-kind ops.
+    const Delta raw = random_edit(rng, len);
+    for (const Delta& d : {raw, raw.canonicalized()}) {
+      std::string in_place = doc;
+      d.apply_in_place(in_place);
+      ASSERT_EQ(in_place, d.apply(doc))
+          << "doc=" << doc << " d=" << d.to_wire();
+    }
+  }
+}
+
+TEST(ApplyInPlace, EdgesOfTheDocument) {
+  const auto applied = [](const char* wire, std::string doc) {
+    Delta::parse(wire).apply_in_place(doc);
+    return doc;
+  };
+  EXPECT_EQ(applied("-3\t+XYZ", "abcdef"), "XYZdef");  // offset 0, same size
+  EXPECT_EQ(applied("+>", "abc"), ">abc");
+  EXPECT_EQ(applied("=3\t+<", "abc"), "abc<");  // at the end
+  EXPECT_EQ(applied("=4\t-2\t+YZ", "abcdef"), "abcdYZ");
+  EXPECT_EQ(applied("-6", "abcdef"), "");
+  EXPECT_EQ(applied("+new", ""), "new");
+  EXPECT_EQ(applied("", "same"), "same");
+  EXPECT_EQ(applied("+a\t+b\t-1\t+c", "xyz"), "abcyz");
+  EXPECT_EQ(applied("=2\t-3\t+uv\t=2\t+w", "abcdefg"), "abuvfgw");
+}
+
+TEST(ApplyInPlace, OutOfRangeThrowsAndLeavesTheInputUntouched) {
+  for (const char* wire :
+       {"=7", "-7", "=3\t-4", "-1\t+X\t=9", "=2\t+X\t-1\t=2\t-2",
+        "+ok\t=6\t-1"}) {
+    std::string doc = "abcdef";
+    EXPECT_THROW(Delta::parse(wire).apply_in_place(doc), Error) << wire;
+    EXPECT_EQ(doc, "abcdef") << wire;
+  }
+  // The overflow-proof bound: a count near SIZE_MAX must not wrap.
+  std::string doc = "abc";
+  const Delta huge({Op::retain(1), Op::erase(SIZE_MAX)});
+  EXPECT_THROW(huge.apply_in_place(doc), Error);
+  EXPECT_EQ(doc, "abc");
 }
 
 TEST(AffixDiff, BasicCases) {
