@@ -9,37 +9,44 @@
 namespace privedit::cloud {
 namespace {
 
-/// Drops chain links that commit revisions beyond `rev`. The save path
-/// persists the audit sidecar before the document record (the two puts are
-/// not jointly atomic), so a crash between them leaves the chain exactly
-/// one link ahead of the record. That orphan link was never acknowledged;
-/// keeping it would make the restored server claim history for a revision
-/// it cannot serve. Unparseable chains pass through untouched — the
-/// clients' committed heads flag those as forks, which is correct for
-/// history the server lost. Returns the number of links dropped.
-std::size_t trim_chain_to_rev(std::string& wire, std::uint64_t rev) {
+/// Restores a document's chain from its sidecar wire and drops links that
+/// commit revisions beyond its rev. The save path persists the audit
+/// sidecar before the document record (the two puts are not jointly
+/// atomic), so a crash between them leaves the chain exactly one link
+/// ahead of the record. That orphan link was never acknowledged; keeping
+/// it would make the restored server claim history for a revision it
+/// cannot serve. An unparseable chain is dropped — the next save re-roots
+/// it, and the clients' committed heads flag the gap as a fork, which is
+/// correct for history the server lost. Returns the number of links (an
+/// unparseable chain counts as one) dropped.
+std::size_t restore_chain(DocTable::Document& doc, std::string_view wire) {
   if (wire.empty()) return 0;
   enc::AuditChain chain;
   try {
     chain = enc::decode_chain(wire);
   } catch (const Error&) {
-    return 0;
+    doc.set_audit_chain(nullptr);
+    return 1;
   }
-  if (chain.base_rev > rev) {
-    const std::size_t dropped = chain.links.size() + 1;
-    wire.clear();
-    return dropped;
+  if (chain.base_rev > doc.rev) {
+    doc.set_audit_chain(nullptr);
+    return chain.links.size() + 1;
   }
   std::size_t dropped = 0;
-  while (!chain.links.empty() && chain.links.back().rev > rev) {
+  while (!chain.links.empty() && chain.links.back().rev > doc.rev) {
     chain.links.pop_back();
     ++dropped;
   }
-  if (dropped > 0) wire = enc::encode_chain(chain);
+  doc.set_audit_chain(&chain);
   return dropped;
 }
 
 }  // namespace
+
+void DocTable::Document::set_audit_chain(const enc::AuditChain* chain) {
+  audit_chain = chain == nullptr ? std::string() : enc::encode_chain(*chain);
+  audit_links = chain == nullptr ? 0 : chain->links.size();
+}
 
 std::vector<std::string> DocTable::attach_store(std::unique_ptr<Store> store) {
   store_ = std::move(store);
@@ -66,9 +73,8 @@ void DocTable::attach_audit_store(std::unique_ptr<Store> store) {
     }
     try {
       const FormData form = FormData::parse(record.content);
-      it->second.audit_chain = form.get("chain").value_or("");
       audit_restore_skipped_ +=
-          trim_chain_to_rev(it->second.audit_chain, it->second.rev);
+          restore_chain(it->second, form.get("chain").value_or(""));
       for (const auto& [key, value] : form.fields()) {
         if (key != "w") continue;
         const std::size_t sep = value.find('=');

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "privedit/cloud/file_store.hpp"
+#include "privedit/enc/audit_record.hpp"
 
 namespace privedit::cloud {
 
@@ -35,8 +36,15 @@ class DocTable {
     // Fork-consistency attributes (enc/audit_record wire forms). The
     // server stores these opaquely — it has no audit key, so it can
     // replay what clients produced but never forge a link or witness.
-    std::string audit_chain;                       // "" = no chain yet
+    // The chain is "" (none yet) or canonical encode_chain output, so a
+    // save appends its link in O(link) (enc::append_link).
+    std::string audit_chain;
+    std::size_t audit_links = 0;                   // links in audit_chain
     std::map<std::string, std::string> witnesses;  // client id → witness
+
+    /// Installs `chain`, or drops the stored one when null: the one way
+    /// a chain enters a document besides enc::append_link.
+    void set_audit_chain(const enc::AuditChain* chain);
   };
 
   /// Caps the per-document version history (0 = unlimited).
@@ -67,7 +75,8 @@ class DocTable {
   /// without one). Propagates StorageError from the backend.
   void persist_audit(const std::string& doc_id, const Document& doc);
 
-  /// Unreadable audit sidecars dropped at attach_audit_store time.
+  /// Unreadable audit sidecars and chains, plus orphan tip links, dropped
+  /// at attach_audit_store time.
   std::size_t audit_restore_skipped() const { return audit_restore_skipped_; }
 
   Document* find(const std::string& doc_id);

@@ -31,10 +31,6 @@ constexpr const char* kDictionaryWords[] = {
     "day",  "did",   "get",    "come",  "made",  "may",   "part",  "document",
     "editing", "cloud", "service", "private", "secure", "content"};
 
-// Server-side chain length cap: the base rolls forward past pruned links.
-// Clients only need enough tail to link their committed head to the tip.
-constexpr std::size_t kAuditChainCap = 512;
-
 bool is_word_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '\'';
 }
@@ -65,20 +61,23 @@ GDocsServer::GDocsServer() {
   for (const char* w : kDictionaryWords) dictionary_.insert(w);
 }
 
-net::HttpResponse GDocsServer::ack(const Document& doc, bool include_content,
-                                   int status, std::string_view flag,
+net::HttpResponse GDocsServer::ack(const Document& doc,
+                                   std::string_view achain,
+                                   bool include_content, int status,
+                                   std::string_view flag,
                                    std::string_view value) const {
   // The Ack conveys "the current content to the best of the server's
   // knowledge" (§IV-A). The full content rides along only when the client
   // saved against a stale revision and needs to reconcile; the happy path
-  // carries just the hash. Rejections (409/412) carry the same fields.
+  // carries just the hash and the save's one-link chain tail. Rejections
+  // (409/412) carry the same fields with the whole chain.
   FormData form;
   if (include_content) {
     form.add("contentFromServer", doc.content);
   }
   form.add("contentFromServerHash", crypto::content_hash16(doc.content));
   form.add("rev", std::to_string(doc.rev));
-  if (!doc.audit_chain.empty()) form.add("achain", doc.audit_chain);
+  if (!achain.empty()) form.add("achain", std::string(achain));
   if (!flag.empty()) form.add(std::string(flag), std::string(value));
   return net::HttpResponse::make(status, form.encode(),
                                  "application/x-www-form-urlencoded");
@@ -91,7 +90,8 @@ net::HttpResponse GDocsServer::chain_reject(const Document& doc) {
   // the client needs to verify, fast-forward its auditor and re-stage,
   // without an extra round trip.
   ++counters_.chain_rejections;
-  return ack(doc, /*include_content=*/true, 412, "areason", "chain");
+  return ack(doc, doc.audit_chain, /*include_content=*/true, 412, "areason",
+             "chain");
 }
 
 // Ordering contract: every save path persists the audit sidecar (this
@@ -101,46 +101,32 @@ net::HttpResponse GDocsServer::chain_reject(const Document& doc) {
 // tip link at restore and the client's journal replay re-lands the save.
 // The reverse order would leave an acknowledged-looking revision with no
 // chain link, which honest clients cannot distinguish from a fork.
-void GDocsServer::store_link(const std::string& doc_id, Document& doc,
-                             const enc::AuditLink& link,
-                             const FormData& form) {
-  enc::AuditChain chain;
-  bool have = false;
-  if (!doc.audit_chain.empty()) {
-    try {
-      chain = enc::decode_chain(doc.audit_chain);
-      have = true;
-    } catch (const Error&) {
-      // An unparseable stored chain is dropped and re-rooted below; the
-      // clients' committed heads will flag the gap as a fork, which is
-      // the correct outcome for history the server lost.
-    }
-  }
-  if (!have) {
+std::string GDocsServer::store_link(const std::string& doc_id, Document& doc,
+                                    const enc::AuditLink& link,
+                                    const FormData& form) {
+  if (doc.audit_chain.empty()) {
+    enc::AuditChain root;
     const auto abase = form.get("abase");
-    if (!abase) return;  // nothing verifiable to root a chain at
+    if (!abase) return {};  // nothing verifiable to root a chain at
     try {
-      chain.base_head = hex_decode(*abase);
+      root.base_head = hex_decode(*abase);
     } catch (const Error&) {
-      return;
+      return {};
     }
-    if (chain.base_head.size() != crypto::Sha256::kDigestSize) return;
-    chain.base_rev = link.rev - 1;
+    if (root.base_head.size() != crypto::Sha256::kDigestSize) return {};
+    root.base_rev = link.rev - 1;
     if (const auto abaserev = form.get("abaserev")) {
       try {
-        chain.base_rev = std::stoull(*abaserev);
+        root.base_rev = std::stoull(*abaserev);
       } catch (...) {
       }
     }
+    doc.set_audit_chain(&root);
   }
-  chain.links.push_back(link);
-  while (chain.links.size() > kAuditChainCap) {
-    chain.base_rev = chain.links.front().rev;
-    chain.base_head = chain.links.front().head;
-    chain.links.erase(chain.links.begin());
-  }
-  doc.audit_chain = enc::encode_chain(chain);
+  std::string tail =
+      enc::append_link(doc.audit_chain, doc.audit_links, link, kAuditChainCap);
   table_.persist_audit(doc_id, doc);
+  return tail;
 }
 
 net::HttpResponse GDocsServer::commit(
@@ -152,11 +138,12 @@ net::HttpResponse GDocsServer::commit(
   ++doc.rev;
   // Chain sidecar before document record — see store_link's ordering
   // contract.
-  if (alink) store_link(doc_id, doc, *alink, form);
+  const std::string tail =
+      alink ? store_link(doc_id, doc, *alink, form) : std::string();
   table_.persist(doc_id, doc);
   // A save against a stale revision carries the content back so the
   // client can reconcile.
-  return ack(doc, stale, 200, flag, "1");
+  return ack(doc, tail, stale, 200, flag, "1");
 }
 
 void GDocsServer::adopt_sync_audit(const std::string& doc_id, Document& doc,
@@ -164,30 +151,32 @@ void GDocsServer::adopt_sync_audit(const std::string& doc_id, Document& doc,
   bool dirty = false;
   if (const auto pushed = form.get("achain");
       pushed && *pushed != doc.audit_chain) {
-    if (!doc.audit_chain.empty()) {
+    std::optional<enc::AuditChain> theirs;
+    try {
+      theirs = enc::decode_chain(*pushed);
+    } catch (const Error&) {
+      // An unparseable chain is dropped here; the next save re-roots it.
+    }
+    if (theirs && !doc.audit_chain.empty()) {
       // Anti-entropy cross-check: where the replicas' chains overlap in
       // revision, the heads must agree. A divergence means this replica
       // pair served different histories for the same revision — the
       // server-side symptom of equivocation. Counted here; the clients
       // hold the key and classify it authoritatively.
-      try {
-        const enc::AuditChain ours = enc::decode_chain(doc.audit_chain);
-        const enc::AuditChain theirs = enc::decode_chain(*pushed);
-        bool diverged = false;
-        if (const auto head = theirs.head_at(ours.base_rev)) {
-          diverged = *head != ours.base_head;
-        }
-        for (const enc::AuditLink& link : ours.links) {
-          if (diverged) break;
-          if (const auto head = theirs.head_at(link.rev)) {
-            diverged = *head != link.head;
-          }
-        }
-        if (diverged) ++counters_.equivocations_detected;
-      } catch (const Error&) {
+      const enc::AuditChain ours = enc::decode_chain(doc.audit_chain);
+      bool diverged = false;
+      if (const auto head = theirs->head_at(ours.base_rev)) {
+        diverged = *head != ours.base_head;
       }
+      for (const enc::AuditLink& link : ours.links) {
+        if (diverged) break;
+        if (const auto head = theirs->head_at(link.rev)) {
+          diverged = *head != link.head;
+        }
+      }
+      if (diverged) ++counters_.equivocations_detected;
     }
-    doc.audit_chain = *pushed;
+    doc.set_audit_chain(theirs ? &*theirs : nullptr);
     dirty = true;
   }
   for (const auto& [key, value] : form.fields()) {
@@ -271,14 +260,14 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
     doc.history.clear();
     // A (re)created document starts a fresh history; the creator may root
     // the audit chain immediately by declaring its genesis head.
-    doc.audit_chain.clear();
+    doc.set_audit_chain(nullptr);
     doc.witnesses.clear();
     if (const auto abase = form.get("abase")) {
       try {
         enc::AuditChain chain;
         chain.base_head = hex_decode(*abase);
         if (chain.base_head.size() == crypto::Sha256::kDigestSize) {
-          doc.audit_chain = enc::encode_chain(chain);
+          doc.set_audit_chain(&chain);
         }
       } catch (const Error&) {
       }
@@ -387,7 +376,7 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
     doc.rev = rev;
     adopt_sync_audit(*doc_id, doc, form);
     table_.persist(*doc_id, doc);
-    return ack(doc, /*include_content=*/false);
+    return ack(doc, doc.audit_chain, /*include_content=*/false);
   }
 
   if (cmd == "delete") {
@@ -525,7 +514,9 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
     const bool conflict = stale && !dbase;
     if (conflict) {
       ++counters_.conflicts;
-      if (strict_revisions_) return ack(doc, true, 409, "conflict", "1");
+      if (strict_revisions_) {
+        return ack(doc, doc.audit_chain, true, 409, "conflict", "1");
+      }
     }
     // Concurrency (409) outranks the chain check: a client that must
     // rebase will fast-forward its auditor off the conflict body's achain
@@ -544,7 +535,7 @@ net::HttpResponse GDocsServer::handle(const net::HttpRequest& request) {
       // concurrent save, or tampering. 412 with the ack fields (current
       // hash + rev) tells it to resend as a plain docContents save.
       ++counters_.anchor_mismatches;
-      return ack(doc, /*include_content=*/false, 412);
+      return ack(doc, doc.audit_chain, /*include_content=*/false, 412);
     }
     ++(dbase ? counters_.full_saves : counters_.delta_saves);
     return commit(*doc_id, doc, std::move(*next), alink, form, stale,

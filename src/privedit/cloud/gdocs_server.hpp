@@ -90,6 +90,10 @@ namespace privedit::cloud {
 
 class GDocsServer {
  public:
+  /// Stored chain length cap: the base rolls forward past pruned links.
+  /// Clients only need enough tail to link their committed head to the tip.
+  static constexpr std::size_t kAuditChainCap = 512;
+
   GDocsServer();
 
   /// The net::Handler entry point.
@@ -247,9 +251,11 @@ class GDocsServer {
   using Document = DocTable::Document;
 
   /// The Ack (or, with `status` 409/412, the rejection) carrying the
-  /// document's hash, rev and chain, plus `flag`=`value` when set.
-  net::HttpResponse ack(const Document& doc, bool include_content,
-                        int status = 200, std::string_view flag = {},
+  /// document's hash and rev, `achain` when non-empty, plus `flag`=`value`
+  /// when set.
+  net::HttpResponse ack(const Document& doc, std::string_view achain,
+                        bool include_content, int status = 200,
+                        std::string_view flag = {},
                         std::string_view value = {}) const;
   void scrub_one(const std::string& doc_id, Document& doc);
   net::HttpResponse chain_reject(const Document& doc);
@@ -260,8 +266,11 @@ class GDocsServer {
                            const std::optional<enc::AuditLink>& alink,
                            const FormData& form, bool stale,
                            std::string_view flag = {});
-  void store_link(const std::string& doc_id, Document& doc,
-                  const enc::AuditLink& link, const FormData& form);
+  /// Appends a save's link (rooting the chain at its abase first when
+  /// none is stored) and persists the sidecar. Returns the 2xx ack's
+  /// one-link tail, or "" when no chain could be rooted.
+  std::string store_link(const std::string& doc_id, Document& doc,
+                         const enc::AuditLink& link, const FormData& form);
   void adopt_sync_audit(const std::string& doc_id, Document& doc,
                         const FormData& form);
 

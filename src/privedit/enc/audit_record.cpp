@@ -192,6 +192,39 @@ AuditChain decode_chain(std::string_view wire) {
   return chain;
 }
 
+namespace {
+
+/// The base form `<rev>:<head-hex>` of one canonical link wire.
+std::string link_as_base(std::string_view link) {
+  return std::string(link.substr(0, link.find(':') + 1))
+      .append(link.substr(link.rfind(':') + 1));
+}
+
+}  // namespace
+
+std::string append_link(std::string& chain, std::size_t& links,
+                        const AuditLink& link, std::size_t cap) {
+  const std::size_t last = chain.rfind(';');
+  std::string tail = last == std::string::npos
+                         ? chain
+                         : link_as_base(std::string_view(chain).substr(last + 1));
+  const std::string wire = encode_link(link);
+  tail += ';';
+  tail += wire;
+  chain += ';';
+  chain += wire;
+  ++links;
+  while (links > cap) {
+    const std::size_t first = chain.find(';');
+    const std::size_t second = chain.find(';', first + 1);
+    chain.replace(0, second,
+                  link_as_base(std::string_view(chain).substr(
+                      first + 1, second - first - 1)));
+    --links;
+  }
+  return tail;
+}
+
 std::string encode_witness(const AuditWitness& witness) {
   return hex_encode(as_bytes(witness.client)) + ":" +
          std::to_string(witness.rev) + ":" + hex_encode(witness.head) + ":" +

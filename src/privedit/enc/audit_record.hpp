@@ -119,6 +119,14 @@ AuditLink decode_link(std::string_view wire);
 std::string encode_chain(const AuditChain& chain);
 AuditChain decode_chain(std::string_view wire);
 
+/// Appends `link` to `chain` — non-empty encode_chain output holding
+/// `links` links — in O(link): the link is encoded onto the end and, past
+/// `cap` links, the base rolls forward over the first link, the only one
+/// parsed. The result is byte-identical to decode, push, prune, encode.
+/// Returns the one-link tail encode_chain({previous tip, {link}}).
+std::string append_link(std::string& chain, std::size_t& links,
+                        const AuditLink& link, std::size_t cap);
+
 std::string encode_witness(const AuditWitness& witness);
 AuditWitness decode_witness(std::string_view wire);
 

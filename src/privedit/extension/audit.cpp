@@ -372,6 +372,24 @@ DocumentAuditor::Verification DocumentAuditor::verify_served(
   return v;
 }
 
+DocumentAuditor::Verification DocumentAuditor::verify_ack(
+    const std::optional<std::string>& tail) const {
+  if (!staged_) {
+    throw Error(ErrorCode::kState, "DocumentAuditor: ack check with no stage");
+  }
+  Verification v;
+  if (!tail) {
+    v.verdict = AuditVerdict::kFork;
+    v.detail = "save ack carries no audit chain tail";
+  } else if (*tail != enc::encode_chain({committed_rev_, committed_head_,
+                                         {*staged_}})) {
+    v.verdict = AuditVerdict::kFork;
+    v.detail = "save ack's chain tail is not our committed head at rev " +
+               std::to_string(committed_rev_) + " plus the staged link";
+  }
+  return v;
+}
+
 DocumentAuditor::Verification DocumentAuditor::check_witness(
     const enc::AuditWitness& witness) {
   Verification v;

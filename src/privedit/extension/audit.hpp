@@ -105,6 +105,12 @@ class DocumentAuditor {
                              std::uint64_t served_rev,
                              std::uint32_t served_crc);
 
+  /// Judges a 2xx save ack's chain tail (`achain`; nullopt when absent)
+  /// in O(1): it must be exactly the committed (rev, head) followed by
+  /// the staged link — one link, byte-equal. Anything else is kFork. Run
+  /// before commit_staged; it changes no state.
+  Verification verify_ack(const std::optional<std::string>& tail) const;
+
   /// Judges one witness record fetched through the server. A witness
   /// whose MAC fails is *ignored* (returns kOk with a detail; the server
   /// can always inject garbage — only a valid MAC proves anything).

@@ -426,7 +426,7 @@ net::HttpResponse GDocsMediator::send_update(const std::string& doc_id,
     }
     if (u.rebuild && !u.rebuild(rejection)) break;
   }
-  if (settle_link(auditor, resp.ok())) {
+  if (settle_link(doc_id, auditor, resp)) {
     maybe_publish_witness(target, *auditor);
   }
   if (resp.ok() && u.form.contains("dbase")) ++counters_.delta_full_saves;
@@ -457,14 +457,18 @@ void GDocsMediator::stage_link(DocumentAuditor& auditor, FormData& form,
   form.set("abaserev", std::to_string(auditor.committed_rev()));
 }
 
-bool GDocsMediator::settle_link(DocumentAuditor* auditor, bool acked) {
+bool GDocsMediator::settle_link(const std::string& doc_id,
+                                DocumentAuditor* auditor,
+                                const net::HttpResponse& resp) {
   if (auditor == nullptr || !auditor->has_staged()) return false;
-  if (!acked) {
+  if (!resp.ok()) {
     // A clean rejection: the server did not apply the save, so the staged
     // link must not survive to poison the next verify.
     auditor->drop_staged();
     return false;
   }
+  raise_audit_verdict(
+      doc_id, auditor->verify_ack(FormData::parse(resp.body).get("achain")));
   auditor->commit_staged();
   ++counters_.audit_links_committed;
   return true;
@@ -707,7 +711,7 @@ net::HttpResponse GDocsMediator::recover_open(const std::string& doc_id,
     rev = ack.contains("rev") ? parse_rev(ack.get("rev"))
                               : entry.base_rev + 1;
     journal->ack_front(rev, entry.checksum);
-    settle_link(auditor, true);
+    settle_link(doc_id, auditor, replay_resp);
     ++counters_.journal_replays;
     replayed = true;
   }

@@ -258,9 +258,12 @@ class GDocsMediator final : public net::Channel {
   void stage_link(DocumentAuditor& auditor, FormData& form, std::uint64_t rev,
                   std::uint32_t crc);
 
-  /// Commits the staged link after an ack (returns true), or drops it
-  /// after a clean rejection.
-  bool settle_link(DocumentAuditor* auditor, bool acked);
+  /// Commits the staged link after a 2xx whose chain tail checks out
+  /// (returns true), or drops it after a clean rejection. A missing or
+  /// wrong tail raises ForkError and leaves the link staged: whether the
+  /// save landed is for the next open's chain to say.
+  bool settle_link(const std::string& doc_id, DocumentAuditor* auditor,
+                   const net::HttpResponse& resp);
 
   /// Lazily constructs the document's auditor; nullptr when audit is off.
   /// The committed-head log lives next to the journal when journal_dir is

@@ -1197,6 +1197,13 @@ class Runner {
       auditor.drop_staged();
       return false;
     }
+    // The same 2xx tail check send_update runs before committing.
+    const auto v = auditor.verify_ack(FormData::parse(resp.body).get("achain"));
+    if (v.verdict != extension::AuditVerdict::kOk) {
+      fail("peer-audit", "client B's save ack failed the tail check: " +
+                             v.detail);
+      return false;
+    }
     auditor.commit_staged();
 
     FormData wf;

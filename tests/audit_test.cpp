@@ -11,16 +11,23 @@
 //  - cloud/gdocs_server + doc_table: the sidecar-before-record persist
 //    ordering contract — a crash between the two puts must restore to a
 //    self-consistent state (orphan chain links trimmed), never to an
-//    acknowledged-looking revision with no chain link;
+//    acknowledged-looking revision with no chain link — and the O(link)
+//    chain append, byte-identical to a decode/push/prune/encode of the
+//    whole chain, whose one-link tail is all a 2xx save ack carries;
 //  - the mediator raising typed IntegrityErrors on served histories an
-//    honest server cannot produce.
+//    honest server cannot produce, and on a forged 2xx save ack.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "privedit/client/gdocs_client.hpp"
 #include "privedit/cloud/file_store.hpp"
@@ -29,6 +36,7 @@
 #include "privedit/enc/audit_record.hpp"
 #include "privedit/extension/audit.hpp"
 #include "privedit/extension/mediator.hpp"
+#include "privedit/net/socket.hpp"
 #include "privedit/util/crashpoint.hpp"
 #include "privedit/util/crc32.hpp"
 #include "privedit/util/error.hpp"
@@ -455,6 +463,114 @@ TEST_F(AuditDurabilityTest, CrashBetweenSidecarAndRecordTrimsOrphanLink) {
   EXPECT_EQ(enc::decode_chain(after->audit_chain).tip_rev(), 2u);
 }
 
+/// The server's chain store before the O(link) append: decode the whole
+/// chain, push the link, prune to the cap, re-encode. Kept as the
+/// reference the append must match byte for byte.
+void reference_append(enc::AuditChain& chain, const enc::AuditLink& link) {
+  chain.links.push_back(link);
+  while (chain.links.size() > cloud::GDocsServer::kAuditChainCap) {
+    chain.base_rev = chain.links.front().rev;
+    chain.base_head = chain.links.front().head;
+    chain.links.erase(chain.links.begin());
+  }
+}
+
+TEST_F(AuditDurabilityTest, ChainAppendMatchesWholeChainReencode) {
+  // Random links (the server cannot check MACs, only revisions) run the
+  // chain past the cap, through a sync adoption of a non-canonical chain,
+  // a provider restart, and an unparseable sync that drops the chain.
+  const std::string dir = base_ + "/store";
+  std::mt19937_64 rng(0xa11ce);
+  const auto random_head = [&] {
+    Bytes head(32);
+    for (auto& b : head) b = static_cast<std::uint8_t>(rng());
+    return head;
+  };
+  const char* const clients[] = {"A", "B", "", "writer-7"};
+  auto server = std::make_unique<cloud::GDocsServer>();
+  server->enable_persistence(dir);
+  enc::AuditChain reference;
+  reference.base_head = random_head();
+  FormData create;
+  create.add("cmd", "create");
+  create.add("abase", hex_encode(reference.base_head));
+  ASSERT_EQ(server->handle(doc_request(create.encode())).status, 201);
+
+  const auto stored = [&] {
+    const cloud::DocTable::Document* doc = server->table().find("doc");
+    return doc == nullptr ? std::string() : doc->audit_chain;
+  };
+  const auto save = [&](bool rooted) {
+    const cloud::DocTable::Document* doc = server->table().find("doc");
+    enc::AuditLink link;
+    link.rev = doc->rev + 1;
+    link.crc = static_cast<std::uint32_t>(rng());
+    link.client = clients[rng() % 4];
+    link.head = random_head();
+    FormData form;
+    form.add("rev", std::to_string(doc->rev));
+    form.add("docContents", "v" + std::to_string(link.rev));
+    form.add("alink", enc::encode_link(link));
+    if (!rooted) {
+      reference = enc::AuditChain{doc->rev, random_head(), {}};
+      form.add("abase", hex_encode(reference.base_head));
+      form.add("abaserev", std::to_string(reference.base_rev));
+    }
+    const enc::AuditChain prev_tip{
+        reference.tip_rev(),
+        reference.links.empty() ? reference.base_head
+                                : reference.links.back().head,
+        {}};
+    const net::HttpResponse resp = server->handle(doc_request(form.encode()));
+    ASSERT_EQ(resp.status, 200);
+    reference_append(reference, link);
+    EXPECT_EQ(FormData::parse(resp.body).get("achain"),
+              enc::encode_chain({prev_tip.base_rev, prev_tip.base_head, {link}}));
+    ASSERT_EQ(stored(), enc::encode_chain(reference));
+  };
+
+  for (int i = 0; i < 600; ++i) {
+    save(/*rooted=*/true);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(reference.links.size(), cloud::GDocsServer::kAuditChainCap);
+
+  // Sync adoption of a chain one link under the cap, spelled with
+  // upper-case hex: stored canonically, so the next appends stay exact.
+  enc::AuditChain pushed{700, random_head(), {}};
+  for (std::uint64_t rev = 701; rev < 700 + cloud::GDocsServer::kAuditChainCap;
+       ++rev) {
+    pushed.links.push_back({rev, static_cast<std::uint32_t>(rng()), "B",
+                            random_head()});
+  }
+  std::string upper = enc::encode_chain(pushed);
+  for (char& c : upper) c = static_cast<char>(std::toupper(c));
+  FormData sync;
+  sync.add("cmd", "sync");
+  sync.add("rev", std::to_string(pushed.tip_rev()));
+  sync.add("content", "synced");
+  sync.add("achain", upper);
+  ASSERT_TRUE(server->handle(doc_request(sync.encode())).ok());
+  reference = pushed;
+  ASSERT_EQ(stored(), enc::encode_chain(reference));
+  for (int i = 0; i < 3; ++i) save(/*rooted=*/true);
+
+  // Provider restart: the restored chain appends exactly as before.
+  server = std::make_unique<cloud::GDocsServer>();
+  server->enable_persistence(dir);
+  ASSERT_EQ(stored(), enc::encode_chain(reference));
+  for (int i = 0; i < 3; ++i) save(/*rooted=*/true);
+  EXPECT_EQ(reference.links.size(), cloud::GDocsServer::kAuditChainCap);
+
+  // An unparseable chain is dropped at adoption; the next save re-roots.
+  sync.set("rev", std::to_string(server->table().find("doc")->rev));
+  sync.set("achain", "not a chain");
+  ASSERT_TRUE(server->handle(doc_request(sync.encode())).ok());
+  EXPECT_EQ(stored(), "");
+  save(/*rooted=*/false);
+  save(/*rooted=*/true);
+}
+
 // ------------------------------------------- mediator classification
 
 struct AuditStack {
@@ -467,15 +583,39 @@ struct AuditStack {
     c.audit = true;
     c.journal_dir = journal_dir;
     transport = std::make_unique<net::LoopbackTransport>(
-        [this](const net::HttpRequest& r) { return server.handle(r); },
-        &clock, net::LatencyModel{}, crypto::CtrDrbg::from_seed(seed));
+        [this](const net::HttpRequest& r) { return wire(r); }, &clock,
+        net::LatencyModel{}, crypto::CtrDrbg::from_seed(seed));
     mediator = std::make_unique<GDocsMediator>(transport.get(), std::move(c),
                                                &clock);
   }
+
+  /// The path between mediator and server. An audited save can be lost
+  /// (`drop_saves`), and its 2xx ack is kept as sent (`last_save_ack`)
+  /// before `forge_ack` rewrites it.
+  net::HttpResponse wire(const net::HttpRequest& r) {
+    const bool audited_save = FormData::parse(r.body).contains("alink");
+    if (audited_save && drop_saves) {
+      throw net::TransportError(net::FaultKind::kConnect, "save lost");
+    }
+    net::HttpResponse resp = server.handle(r);
+    if (audited_save && resp.ok()) {
+      last_save_ack = resp.body;
+      if (forge_ack) {
+        FormData ack = FormData::parse(resp.body);
+        forge_ack(ack);
+        resp.body = ack.encode();
+      }
+    }
+    return resp;
+  }
+
   cloud::GDocsServer server;
   net::SimClock clock;
   std::unique_ptr<net::LoopbackTransport> transport;
   std::unique_ptr<GDocsMediator> mediator;
+  bool drop_saves = false;
+  std::string last_save_ack;
+  std::function<void(FormData&)> forge_ack;
 };
 
 TEST_F(AuditDurabilityTest, FullSaveChainRetriesAreBoundedAndDropTheLink) {
@@ -598,6 +738,132 @@ TEST_F(AuditDurabilityTest, MediatorRaisesForkErrorOnChainlessAdvance) {
   client::GDocsClient reader(stack.mediator.get(), "doc");
   EXPECT_THROW(reader.open(), ForkError);
   EXPECT_GE(stack.mediator->counters().audit_forks, 1u);
+}
+
+/// Rewrites the chain tail of a 2xx save ack.
+std::function<void(FormData&)> edit_tail(
+    std::function<void(enc::AuditChain&)> edit) {
+  return [edit = std::move(edit)](FormData& ack) {
+    enc::AuditChain tail = enc::decode_chain(ack.get("achain").value_or(""));
+    edit(tail);
+    ack.set("achain", enc::encode_chain(tail));
+  };
+}
+
+TEST_F(AuditDurabilityTest, ForgedSaveAckTailRaisesForkError) {
+  // A 2xx save ack must carry exactly the committed head plus the staged
+  // link. An on-path adversary (or a lying server) that rewrites the tail
+  // is a fork, caught before the link is committed — on the journal
+  // replay path and on a live save alike.
+  AuditStack stack(base_, 4500);
+  GDocsMediator& mediator = *stack.mediator;
+  client::GDocsClient writer(&mediator, "doc");
+  writer.create();
+  writer.insert(0, "honest");
+  ASSERT_TRUE(writer.save());  // the unmodified ack passes
+  EXPECT_EQ(mediator.counters().audit_links_committed, 1u);
+  const auto save = [&](const std::string& text) {
+    FormData form;
+    form.add("session", "1");
+    form.add("rev", std::to_string(stack.server.table().find("doc")->rev));
+    form.add("docContents", text);
+    return mediator.round_trip(
+        net::HttpRequest::post_form("/Doc?docID=doc", form.encode()));
+  };
+  const auto wrong_base_head =
+      edit_tail([](enc::AuditChain& t) { t.base_head[0] ^= 1; });
+  std::size_t forks = 0;
+
+  // A save lost on the wire stays pending; the next open replays it and
+  // the replay's ack is forged.
+  stack.drop_saves = true;
+  EXPECT_THROW(save("lost on the wire"), net::TransportError);
+  stack.drop_saves = false;
+  stack.forge_ack = wrong_base_head;
+  client::GDocsClient reader(&mediator, "doc");
+  EXPECT_THROW(reader.open(), ForkError);
+  EXPECT_EQ(mediator.counters().audit_forks, ++forks);
+
+  const std::vector<std::pair<std::string, std::function<void(FormData&)>>>
+      forgeries = {
+          {"wrong base head", wrong_base_head},
+          {"wrong base rev",
+           edit_tail([](enc::AuditChain& t) { t.base_rev -= 1; })},
+          {"substituted link",
+           edit_tail([](enc::AuditChain& t) { t.links[0].crc ^= 1; })},
+          {"two links",
+           edit_tail([](enc::AuditChain& t) {
+             enc::AuditLink extra = t.links[0];
+             extra.rev += 1;
+             t.links.push_back(extra);
+           })},
+          {"no achain", [](FormData& ack) { ack.remove("achain"); }},
+      };
+  for (const auto& [name, forge] : forgeries) {
+    SCOPED_TRACE(name);
+    stack.forge_ack = forge;
+    EXPECT_THROW(save("forged: " + name), ForkError);
+    EXPECT_EQ(mediator.counters().audit_forks, ++forks);
+  }
+  // Every forged save did land; none of their links was committed.
+  EXPECT_EQ(mediator.counters().audit_links_committed, 1u);
+
+  // The adversary steps aside: the next save extends the chain cleanly
+  // and an open verifies the whole history.
+  stack.forge_ack = nullptr;
+  EXPECT_TRUE(save("honest again").ok());
+  EXPECT_EQ(mediator.counters().audit_links_committed, 2u);
+  reader.open();
+  EXPECT_EQ(reader.text(), "honest again");
+  EXPECT_EQ(mediator.counters().audit_forks, forks);
+}
+
+TEST_F(AuditDurabilityTest, SaveAckStaysSmallWhileTheChainIsFull) {
+  // 600 audited saves fill the stored chain to its cap. A keystroke's 2xx
+  // ack still carries only its one-link tail; an open and a chain 412
+  // carry the whole chain, tip at the served rev.
+  AuditStack stack("", 4600);
+  client::GDocsClient writer(stack.mediator.get(), "doc");
+  writer.create();
+  for (int i = 0; i < 600; ++i) {
+    writer.insert(writer.text().size(), "x");
+    ASSERT_TRUE(writer.save());
+  }
+  const cloud::DocTable::Document* doc = stack.server.table().find("doc");
+  ASSERT_NE(doc, nullptr);
+  ASSERT_EQ(doc->rev, 600u);
+  EXPECT_EQ(doc->audit_links, cloud::GDocsServer::kAuditChainCap);
+  EXPECT_EQ(stack.mediator->counters().audit_links_committed, 600u);
+  EXPECT_LE(stack.last_save_ack.size(), 400u);
+  EXPECT_EQ(enc::decode_chain(*FormData::parse(stack.last_save_ack)
+                                   .get("achain"))
+                .links.size(),
+            1u);
+
+  FormData open;
+  open.add("cmd", "open");
+  const FormData opened =
+      FormData::parse(stack.server.handle(doc_request(open.encode())).body);
+  EXPECT_EQ(enc::decode_chain(*opened.get("achain")).tip_rev(), 600u);
+  EXPECT_EQ(opened.get("rev"), "600");
+
+  enc::AuditLink stale;
+  stale.rev = 5;
+  stale.client = "A";
+  stale.head = Bytes(32, 7);
+  FormData save;
+  save.add("rev", "600");
+  save.add("docContents", "stale");
+  save.add("alink", enc::encode_link(stale));
+  const net::HttpResponse rejected =
+      stack.server.handle(doc_request(save.encode()));
+  ASSERT_EQ(rejected.status, 412);
+  const FormData rejection = FormData::parse(rejected.body);
+  EXPECT_EQ(rejection.get("areason"), "chain");
+  const enc::AuditChain chain = enc::decode_chain(*rejection.get("achain"));
+  EXPECT_EQ(chain.tip_rev(), 600u);
+  EXPECT_EQ(chain.links.size(), cloud::GDocsServer::kAuditChainCap);
+  EXPECT_EQ(rejection.get("rev"), "600");
 }
 
 }  // namespace
